@@ -6,6 +6,7 @@
 package algebra
 
 import (
+	"cmp"
 	"sort"
 
 	"repro/internal/bat"
@@ -67,66 +68,89 @@ func (o CmpOp) Holds(c int) bool {
 }
 
 // ThetaSelect returns the candidates in cands whose value in v satisfies
-// `v[i] op val`. NULLs never qualify. A nil cands means all positions.
-// Int64/Timestamp and Float64 columns take fast typed paths.
+// `v[i] op val`. NULLs never qualify. A nil cands means all positions,
+// visited without materializing a candidate list. Every column type
+// compares on its native slice; other types fall back to vector.Compare.
 func ThetaSelect(v *vector.Vector, cands bat.Candidates, op CmpOp, val vector.Value) bat.Candidates {
+	n := len(cands)
 	if cands == nil {
-		cands = bat.All(v.Len())
+		n = v.Len()
 	}
-	out := make(bat.Candidates, 0, len(cands))
+	out := make(bat.Candidates, 0, n)
 	if val.Null {
 		return out // nothing compares to NULL
 	}
+	nulls := v.Nulls()
 	switch v.Type() {
 	case vector.Int64, vector.Timestamp:
-		xs := v.Ints()
-		c := val.AsInt()
-		for _, p := range cands {
-			if v.IsNull(p) {
-				continue
-			}
-			x := xs[p]
-			var cmp int
-			switch {
-			case x < c:
-				cmp = -1
-			case x > c:
-				cmp = 1
-			}
-			if op.Holds(cmp) {
-				out = append(out, p)
-			}
-		}
+		return theta(v.Ints(), nulls, cands, op, val.AsInt(), out)
 	case vector.Float64:
-		xs := v.Floats()
-		c := val.AsFloat()
-		for _, p := range cands {
-			if v.IsNull(p) {
-				continue
+		return theta(v.Floats(), nulls, cands, op, val.AsFloat(), out)
+	case vector.String:
+		return theta(v.Strings(), nulls, cands, op, val.S, out)
+	case vector.Bool:
+		// vector.Compare orders false before true.
+		bs := v.Bools()
+		keep := func(p int) bool {
+			if nulls != nil && nulls[p] {
+				return false
 			}
-			x := xs[p]
-			var cmp int
-			switch {
-			case x < c:
-				cmp = -1
-			case x > c:
-				cmp = 1
-			}
-			if op.Holds(cmp) {
+			return op.Holds(b2i(bs[p]) - b2i(val.B))
+		}
+		return selectWhere(keep, cands, len(bs), out)
+	default:
+		keep := func(p int) bool {
+			return !v.IsNull(p) && op.Holds(vector.Compare(v.Get(p), val))
+		}
+		return selectWhere(keep, cands, v.Len(), out)
+	}
+}
+
+// theta is ThetaSelect over one native slice. The comparison matches
+// vector.Compare: a value neither below nor above c compares equal,
+// which for floats includes NaN.
+func theta[T cmp.Ordered](xs []T, nulls []bool, cands bat.Candidates, op CmpOp, c T, out bat.Candidates) bat.Candidates {
+	holds := [3]bool{op.Holds(-1), op.Holds(0), op.Holds(1)} // by comparison result + 1
+	keep := func(p int) bool {
+		return (nulls == nil || !nulls[p]) && holds[compare(xs[p], c)+1]
+	}
+	return selectWhere(keep, cands, len(xs), out)
+}
+
+func compare[T cmp.Ordered](x, c T) int {
+	if x < c {
+		return -1
+	}
+	if x > c {
+		return 1
+	}
+	return 0
+}
+
+// selectWhere appends to out the positions keep accepts: the candidates
+// in cands, or every position in [0, n) when cands is nil.
+func selectWhere(keep func(int) bool, cands bat.Candidates, n int, out bat.Candidates) bat.Candidates {
+	if cands == nil {
+		for p := 0; p < n; p++ {
+			if keep(p) {
 				out = append(out, p)
 			}
 		}
-	default:
-		for _, p := range cands {
-			if v.IsNull(p) {
-				continue
-			}
-			if op.Holds(vector.Compare(v.Get(p), val)) {
-				out = append(out, p)
-			}
+		return out
+	}
+	for _, p := range cands {
+		if keep(p) {
+			out = append(out, p)
 		}
 	}
 	return out
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // RangeSelect returns the candidates whose value lies in the interval

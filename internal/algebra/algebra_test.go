@@ -1,6 +1,7 @@
 package algebra
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -60,6 +61,66 @@ func TestThetaSelectNulls(t *testing.T) {
 	// Comparing against NULL yields nothing.
 	got = ThetaSelect(v, nil, Eq, vector.NullValue(vector.Int64))
 	assertCands(t, got, bat.Candidates{})
+}
+
+// TestThetaSelectTable checks the typed selection loops against the
+// boxed per-row definition (vector.Compare on Get) for every column type
+// and operator, with NULLs, NaN and ±0, over nil (every row) and
+// explicit candidate lists.
+func TestThetaSelectTable(t *testing.T) {
+	withNull := func(v *vector.Vector, at int) *vector.Vector {
+		out := vector.New(v.Type())
+		for i := 0; i < v.Len(); i++ {
+			if i == at {
+				out.AppendNull()
+			} else {
+				out.AppendValue(v.Get(i))
+			}
+		}
+		return out
+	}
+	nan := math.NaN()
+	negZero := math.Copysign(0, -1)
+	cases := []struct {
+		name string
+		col  *vector.Vector
+		vals []vector.Value
+	}{
+		{"int", withNull(vector.FromInts([]int64{5, 1, 9, 3, 5, -2}), 2), []vector.Value{vector.NewInt(5), vector.NewInt(-3)}},
+		{"timestamp", vector.FromTimestamps([]int64{30, 10, 20}), []vector.Value{vector.NewTimestamp(20), vector.NewInt(10)}},
+		{"float", withNull(vector.FromFloats([]float64{1.5, nan, 0, negZero, 2.5, -1}), 5), []vector.Value{vector.NewFloat(0), vector.NewFloat(2.5), vector.NewFloat(nan)}},
+		{"string", withNull(vector.FromStrings([]string{"b", "a", "c", "", "ab", "a"}), 0), []vector.Value{vector.NewString("a"), vector.NewString("")}},
+		{"bool", withNull(vector.FromBools([]bool{true, false, true, false}), 3), []vector.Value{vector.NewBool(true), vector.NewBool(false)}},
+	}
+	for _, tc := range cases {
+		for _, val := range append(tc.vals, vector.NullValue(tc.col.Type())) {
+			for _, op := range []CmpOp{Eq, Ne, Lt, Le, Gt, Ge} {
+				for _, cands := range []bat.Candidates{nil, {}, {1, 2}, {0, tc.col.Len() - 1}} {
+					want := bat.Candidates{}
+					each := cands
+					if each == nil {
+						each = bat.All(tc.col.Len())
+					}
+					for _, p := range each {
+						if !val.Null && !tc.col.IsNull(p) && op.Holds(vector.Compare(tc.col.Get(p), val)) {
+							want = append(want, p)
+						}
+					}
+					got := ThetaSelect(tc.col, cands, op, val)
+					if len(got) != len(want) {
+						t.Errorf("%s %s %v cands=%v: got %v, want %v", tc.name, op, val, cands, got, want)
+						continue
+					}
+					for i := range got {
+						if got[i] != want[i] {
+							t.Errorf("%s %s %v cands=%v: got %v, want %v", tc.name, op, val, cands, got, want)
+							break
+						}
+					}
+				}
+			}
+		}
+	}
 }
 
 func TestRangeSelect(t *testing.T) {

@@ -51,12 +51,14 @@ type engineObs struct {
 	e2eNS      *obs.Histogram
 
 	// Shared-scan routing (routed strategy): batches routed, member
-	// queries matched vs. skipped by the predicate index, and shared
-	// subplan evaluations (one per matched plan group per batch).
+	// queries matched vs. skipped by the predicate index, shared subplan
+	// evaluations (one per reached plan group per batch), and the batch
+	// rows those evaluations read.
 	routeBatches *obs.Counter
 	routeMatched *obs.Counter
 	routeSkipped *obs.Counter
 	routeEvals   *obs.Counter
+	routeRows    *obs.Counter
 }
 
 const (
@@ -88,6 +90,7 @@ func newEngineObs(e *Engine) *engineObs {
 		routeMatched:  reg.Counter("dc_route_matched_queries_total", "Per-batch routed-query matches (query received the batch).", nil),
 		routeSkipped:  reg.Counter("dc_route_skipped_queries_total", "Per-batch routed-query skips (predicate index proved no match).", nil),
 		routeEvals:    reg.Counter("dc_route_shared_evals_total", "Shared subplan evaluations (one per matched plan group per batch).", nil),
+		routeRows:     reg.Counter("dc_route_rows_evaluated_total", "Batch rows handed to shared subplan evaluations (the rows each group's routing anchor selects).", nil),
 	}
 	for _, st := range []string{stageFire, stageMerge, stageDeliver} {
 		o.fireNS[st] = reg.Histogram("dc_stage_fire_ns", "Transition firing duration by pipeline stage, ns.", obs.Labels{"stage": st})

@@ -34,23 +34,54 @@ func rowsOf(t *testing.T, rels []*storage.Relation) []string {
 	return out
 }
 
+// rowsInOrder flattens delivered relations into "x|y" strings of their
+// first two INT columns, in delivery order.
+func rowsInOrder(rels []*storage.Relation) []string {
+	var out []string
+	for _, r := range rels {
+		for i := 0; i < r.NumRows(); i++ {
+			row := r.Row(i)
+			out = append(out, fmt.Sprintf("%d|%d", row[0].I, row[1].I))
+		}
+	}
+	return out
+}
+
 // TestRoutedMatchesSeparate is the flat-vs-shared equality property: N
-// queries attached to one routed scan must produce exactly the result
-// sets of N independent separate-strategy replicas.
+// queries attached to one routed scan must deliver exactly the rows, in
+// exactly the order, of N independent separate-strategy replicas. The
+// mix covers every routing kind — equality (also flipped, and narrowed
+// further by the rest of the predicate), range, residual, match-all and
+// never — and a lagging SharedBaskets reader keeps a consumed prefix in
+// the primary basket, so from the second firing on the scan reads its
+// batch at a non-zero offset.
 func TestRoutedMatchesSeparate(t *testing.T) {
 	e, _ := newEngine(t)
 	const nq = 8
-	var routed, flat []*Query
+	var texts []string
 	for i := 0; i < nq; i++ {
-		var text string
 		switch i % 3 {
 		case 0: // equality, selective
-			text = fmt.Sprintf("SELECT S.a, S.b FROM [SELECT * FROM R] AS S WHERE S.a = %d", i*10)
+			texts = append(texts, fmt.Sprintf("SELECT S.a, S.b FROM [SELECT * FROM R] AS S WHERE S.a = %d", i*10))
 		case 1: // range
-			text = fmt.Sprintf("SELECT S.a, S.b FROM [SELECT * FROM R] AS S WHERE S.a > %d AND S.a <= %d", i*5, i*5+20)
-		default: // residual (always-match)
-			text = "SELECT S.a, S.b FROM [SELECT * FROM R] AS S"
+			texts = append(texts, fmt.Sprintf("SELECT S.a, S.b FROM [SELECT * FROM R] AS S WHERE S.a > %d AND S.a <= %d", i*5, i*5+20))
+		default: // match-all
+			texts = append(texts, "SELECT S.a, S.b FROM [SELECT * FROM R] AS S")
 		}
+	}
+	for _, where := range []string{
+		"S.a = 3 AND S.b > 40",       // eq anchor, narrower predicate
+		"7 = S.a",                    // eq, flipped
+		"S.b >= 30 AND S.a < 5",      // range anchor on b
+		"S.a >= 2 AND S.b - S.a > 5", // range anchor, residual rest
+		"S.a = 5 OR S.b > 150",       // residual
+		"S.a <> 4",                   // residual (no anchor)
+		"S.a > 3 AND S.a < 3",        // never
+	} {
+		texts = append(texts, "SELECT S.b, S.a FROM [SELECT * FROM R] AS S WHERE "+where)
+	}
+	var routed, flat []*Query
+	for i, text := range texts {
 		rq, err := e.RegisterContinuous(fmt.Sprintf("rq%d", i), text, WithStrategy(RoutedScan))
 		if err != nil {
 			t.Fatal(err)
@@ -64,6 +95,10 @@ func TestRoutedMatchesSeparate(t *testing.T) {
 		}
 		routed, flat = append(routed, rq), append(flat, fq)
 	}
+	if _, err := e.RegisterContinuous("lag", "SELECT S.a FROM [SELECT * FROM R] AS S",
+		WithStrategy(SharedBaskets), WithMinTuples(1000)); err != nil {
+		t.Fatal(err)
+	}
 	var pairs [][2]int64
 	for v := int64(0); v < 120; v++ {
 		pairs = append(pairs, [2]int64{v % 60, v})
@@ -71,18 +106,6 @@ func TestRoutedMatchesSeparate(t *testing.T) {
 	ingestPairs(t, e, "R", pairs)
 	ingestPairs(t, e, "R", [][2]int64{{10, 1000}, {10, 1001}, {59, 1002}})
 	e.Drain()
-	for i := range routed {
-		got := rowsOf(t, collect(routed[i]))
-		want := rowsOf(t, collect(flat[i]))
-		if len(got) != len(want) {
-			t.Fatalf("q%d: routed %d rows, separate %d rows", i, len(got), len(want))
-		}
-		for j := range got {
-			if got[j] != want[j] {
-				t.Fatalf("q%d row %d: routed %q, separate %q", i, j, got[j], want[j])
-			}
-		}
-	}
 	// Per-query stats must stay correct under sharing: every routed query
 	// saw every batch (TuplesIn) but only matching tuples came out.
 	st := routed[0].Stats() // WHERE S.a = 0
@@ -91,6 +114,30 @@ func TestRoutedMatchesSeparate(t *testing.T) {
 	}
 	if st.TuplesOut != 2 { // a=0 occurs for v=0 and v=60
 		t.Errorf("rq0 TuplesOut = %d, want 2", st.TuplesOut)
+	}
+	// Later batches, each drained on its own, are read behind the lagging
+	// reader's retained prefix.
+	v := int64(2000)
+	for batch := 0; batch < 12; batch++ {
+		pairs = pairs[:0]
+		for k := 0; k < 1+batch*3; k++ {
+			pairs = append(pairs, [2]int64{(v * 7) % 17, v})
+			v++
+		}
+		ingestPairs(t, e, "R", pairs)
+		e.Drain()
+	}
+	for i := range routed {
+		got := rowsInOrder(collect(routed[i]))
+		want := rowsInOrder(collect(flat[i]))
+		if len(got) != len(want) {
+			t.Fatalf("%s: routed %d rows, separate %d rows", texts[i], len(got), len(want))
+		}
+		for j := range got {
+			if got[j] != want[j] {
+				t.Fatalf("%s row %d: routed %q, separate %q", texts[i], j, got[j], want[j])
+			}
+		}
 	}
 }
 

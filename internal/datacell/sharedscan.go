@@ -17,6 +17,7 @@ import (
 	"repro/internal/route"
 	"repro/internal/scheduler"
 	"repro/internal/storage"
+	"repro/internal/vector"
 )
 
 // sharedScan is the shared routing layer of the routed-scan strategy:
@@ -25,9 +26,11 @@ import (
 // the stream. Each firing takes one chunk-view snapshot of the unseen
 // suffix, advances the single shared reader frontier (so the basket
 // compacts at O(one reader) instead of O(queries)), pushes the batch
-// through the predicate index, and evaluates each matched plan group
-// once — fanning the group's result out to its member queries' output
-// baskets. Queries whose predicates cannot match the batch cost nothing.
+// through the predicate index, and evaluates each reached plan group
+// once — over only the rows the group's anchor selects, gathered into a
+// small view — fanning the group's result out to its member queries'
+// output baskets. The plan still checks its full predicate on those
+// rows; groups whose anchor selects no row cost nothing.
 //
 // Concurrency: regMu serializes membership changes (attach/detach and
 // predicate-index writes); fireMu serializes firings and doubles as the
@@ -50,8 +53,9 @@ type sharedScan struct {
 	closed atomic.Bool
 
 	// fireMu (lock level 46) is held for the whole firing; see above.
-	fireMu  sync.Mutex
-	scratch []any // matched-group buffer, reused across firings (under fireMu)
+	fireMu sync.Mutex
+	hits   []route.Hit   // reached-group buffer, reused across firings (under fireMu)
+	ctx    *exec.Context // group-plan context, reused across firings (under fireMu)
 
 	// regMu (lock level 44) guards groups/nextID and all writes to
 	// memberCount and the members slices.
@@ -229,6 +233,7 @@ func (e *Engine) ensureScan(s *stream, priority int) *sharedScan {
 		name:    fmt.Sprintf("~scan:%s#%d", s.name, scanGen.Add(1)),
 		primary: s.primary,
 		idx:     route.NewIndex(),
+		ctx:     exec.NewContext(e.cat),
 		groups:  map[string]*scanGroup{},
 	}
 	sc.consumed.Store(int64(s.primary.Hseq()))
@@ -377,15 +382,13 @@ func (sc *sharedScan) Fire() error {
 	sc.batches.Add(1)
 	sc.rows.Add(int64(unseen))
 
-	matched := sc.idx.Match(batch, sc.scratch[:0])
-	sc.scratch = matched[:0]
+	hits := sc.idx.MatchRows(batch, sc.hits[:0])
 
 	e := sc.eng
-	var delivered int64
-	var groupEvals int64
+	var delivered, groupEvals, rowsEvaluated int64
 	var firstErr error
-	for _, p := range matched {
-		g := p.(*scanGroup)
+	for _, h := range hits {
+		g := h.Payload.(*scanGroup)
 		members := *g.members.Load()
 		active := 0
 		for _, m := range members {
@@ -397,9 +400,14 @@ func (sc *sharedScan) Fire() error {
 			continue
 		}
 		t0 := e.clock.Now()
-		rel, err := sc.evalGroup(g, batch)
+		in, inRows := batch, unseen
+		if h.Rows != nil && len(h.Rows) < unseen {
+			in, inRows = gather(batch, h.Rows), len(h.Rows)
+		}
+		rel, err := sc.evalGroup(g, in)
 		g.evals.Add(1)
 		groupEvals++
+		rowsEvaluated += int64(inRows)
 		if err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("routed scan %s: %w", sc.stream, err)
 		}
@@ -428,6 +436,11 @@ func (sc *sharedScan) Fire() error {
 			m.latency.Observe(e.clock.Now() - t0)
 		}
 	}
+	// Drop this batch's row lists, group pointers and view so they do not
+	// stay reachable until the next firing.
+	clear(hits)
+	sc.hits = hits[:0]
+	delete(sc.ctx.Overrides, sc.source)
 	if o := e.obs; o != nil {
 		o.routeBatches.Inc()
 		o.routeMatched.Add(delivered)
@@ -435,15 +448,26 @@ func (sc *sharedScan) Fire() error {
 			o.routeSkipped.Add(skipped)
 		}
 		o.routeEvals.Add(groupEvals)
+		o.routeRows.Add(rowsEvaluated)
 	}
 	return firstErr
 }
 
-// evalGroup runs the group's shared plan over the batch view.
-func (sc *sharedScan) evalGroup(g *scanGroup, batch bat.View) (*storage.Relation, error) {
-	ctx := exec.NewContext(sc.eng.cat)
-	ctx.Overrides[sc.source] = batch
-	return exec.Run(g.node, ctx)
+// evalGroup runs the group's shared plan over a batch view. Caller holds
+// fireMu, which guards the reused context.
+func (sc *sharedScan) evalGroup(g *scanGroup, view bat.View) (*storage.Relation, error) {
+	sc.ctx.Overrides[sc.source] = view
+	return exec.Run(g.node, sc.ctx)
+}
+
+// gather copies the given batch rows into a single-chunk view, the input
+// of a group whose anchor narrowed the batch.
+func gather(batch bat.View, rows bat.Candidates) bat.View {
+	cols := make([]*vector.Vector, batch.NumCols())
+	for i := range cols {
+		cols[i] = batch.TakeColumn(i, rows)
+	}
+	return bat.ViewOf(cols...)
 }
 
 // observeScan feeds the scan transition's firings into the fire-stage

@@ -1,25 +1,29 @@
 // Package route implements the predicate index behind shared-scan
 // multi-query execution: a discrimination network over the selection
 // predicates of the continuous queries registered on one stream. Each
-// ingested batch is matched against the index once — equality predicates
-// through per-column hash buckets probed with the batch's distinct
-// values, range predicates through min/max interval overlap, everything
-// else through a residual always-visit list — so a batch reaches only
-// the query groups whose filters can possibly match it, and the other
-// groups cost nothing per firing.
+// ingested batch is matched against the index once and yields, per
+// entry it reaches, the batch rows that entry's anchor selects —
+// equality anchors through one pass per anchored column that groups the
+// rows by bucket key, range anchors through a typed pass over the
+// column, everything else through a residual list that selects every
+// row. An entry whose anchor selects no row is not reached at all, and
+// a reached entry's plan runs over its rows only.
 //
-// The index is copy-on-write: Match loads an immutable snapshot with one
-// atomic read, while Add/Remove build replacement state under a writer
-// mutex. Additions park in a pending overlay (matched conservatively as
-// always-match) until the owner calls FlushIfDirty, which folds them
-// into a fresh snapshot — this keeps registering N queries O(N) instead
-// of O(N²) full rebuilds.
+// The index is copy-on-write: matching loads an immutable snapshot with
+// one atomic read, while Add/Remove build replacement state under a
+// writer mutex. Additions land in an append-only pending overlay
+// (selecting every row) until the owner calls FlushIfDirty, which folds
+// them into a fresh snapshot — registering N queries costs O(N), not
+// O(N²).
 //
-// Matching is conservative by construction: an anchor atom is one
-// conjunct of the query's predicate, so "anchor cannot match" implies
-// "predicate cannot match", and anything the index cannot normalize
-// falls back to the residual list. The index never proves a match — the
-// routed group still evaluates its full plan — it only proves misses.
+// The anchor is a conjunct of the entry's predicate (for a range, the
+// conjunction of the bounds on one column), and a hit's rows are exactly
+// the rows where that conjunct holds under the kernel's comparison
+// semantics — including NaN, which compares equal to every number. Any
+// row the full predicate accepts is therefore among them; the caller
+// still evaluates the full predicate on those rows, and the index only
+// removes rows where one conjunct of it is false. Anything the index
+// cannot normalize falls back to the residual list.
 package route
 
 import (
@@ -82,28 +86,44 @@ const (
 	keyBool
 )
 
-// interval is a closed/open bound pair over one numeric column, kept in
-// the column's native domain (int64 for Int64/Timestamp, float64 for
+// interval is a closed bound pair over one numeric column, kept in the
+// column's native domain (int64 for Int64/Timestamp, float64 for
 // Float64) so routing never loses precision to a cross-domain cast.
-// Integer bounds fold strictness in (x > 5 becomes lo=6); float bounds
-// carry open flags.
+// Strict bounds are folded in: x > 5 becomes lo=6 on an integer column
+// and lo=Nextafter(5, +Inf), the least float above 5, on a float column.
+// An absent side is the domain's extreme. The kernel compares NaN equal
+// to every number, so a NaN row satisfies x >= c and x <= c but not
+// x > c or x < c: nanOK records whether every bound folded into a float
+// interval was non-strict.
 type interval struct {
-	isFloat        bool
-	hasLo, hasHi   bool
-	loI, hiI       int64
-	loF, hiF       float64
-	loOpen, hiOpen bool // float bounds only
+	isFloat  bool
+	loI, hiI int64
+	loF, hiF float64
+	nanOK    bool // float intervals only
 }
 
-func (iv *interval) empty() bool {
-	if !iv.hasLo || !iv.hasHi {
-		return false
+// unbounded is the interval every value of the domain lies in.
+func unbounded(isFloat bool) interval {
+	return interval{isFloat: isFloat, loI: math.MinInt64, hiI: math.MaxInt64,
+		loF: math.Inf(-1), hiF: math.Inf(1), nanOK: true}
+}
+
+// sides counts the bounded sides, so Analyze can prefer two-sided ranges.
+func (iv *interval) sides() int {
+	n := 0
+	if iv.loI > math.MinInt64 || iv.loF > math.Inf(-1) {
+		n++
 	}
+	if iv.hiI < math.MaxInt64 || iv.hiF < math.Inf(1) {
+		n++
+	}
+	return n
+}
+
+// never reports whether no value, NaN included, can fall inside iv.
+func (iv *interval) never() bool {
 	if iv.isFloat {
-		if iv.loF > iv.hiF {
-			return true
-		}
-		return iv.loF == iv.hiF && (iv.loOpen || iv.hiOpen)
+		return !iv.nanOK && iv.loF > iv.hiF
 	}
 	return iv.loI > iv.hiI
 }
@@ -111,11 +131,12 @@ func (iv *interval) empty() bool {
 // Pred is a predicate's routing classification: the anchor atom the
 // index discriminates on. Build one with Analyze.
 type Pred struct {
-	kind Kind
-	col  int    // anchor column (Eq/Range)
-	name string // anchor column name, for diagnostics
-	key  vkey   // Eq anchor
-	iv   interval
+	kind   Kind
+	col    int       // anchor column (Eq/Range)
+	name   string    // anchor column name, for diagnostics
+	key    vkey      // Eq anchor
+	iv     interval  // Range anchor
+	anchor expr.Expr // the conjunct(s) key or iv encodes (Eq/Range)
 }
 
 // Kind returns the anchor classification.
@@ -146,8 +167,9 @@ func Analyze(e expr.Expr) Pred {
 	}
 	var eqAnchor *Pred
 	type colRange struct {
-		name string
-		iv   interval
+		name  string
+		iv    interval
+		atoms []expr.Expr
 	}
 	ranges := map[int]*colRange{}
 	order := []int{}
@@ -172,7 +194,7 @@ func Analyze(e expr.Expr) Pred {
 				return Pred{kind: Never}
 			case atomOK:
 				if eqAnchor == nil {
-					eqAnchor = &Pred{kind: Eq, col: col.Index, name: col.Name, key: k}
+					eqAnchor = &Pred{kind: Eq, col: col.Index, name: col.Name, key: k, anchor: c}
 				}
 			}
 			continue
@@ -195,7 +217,8 @@ func Analyze(e expr.Expr) Pred {
 		} else {
 			cr.iv = intersect(cr.iv, iv)
 		}
-		if cr.iv.empty() {
+		cr.atoms = append(cr.atoms, c)
+		if cr.iv.never() {
 			return Pred{kind: Never}
 		}
 	}
@@ -206,19 +229,13 @@ func Analyze(e expr.Expr) Pred {
 	best := -1
 	bestScore := 0
 	for _, col := range order {
-		score := 0
-		if ranges[col].iv.hasLo {
-			score++
-		}
-		if ranges[col].iv.hasHi {
-			score++
-		}
-		if score > bestScore {
+		if score := ranges[col].iv.sides(); score > bestScore {
 			best, bestScore = col, score
 		}
 	}
 	if best >= 0 {
-		return Pred{kind: Range, col: best, name: ranges[best].name, iv: ranges[best].iv}
+		cr := ranges[best]
+		return Pred{kind: Range, col: best, name: cr.name, iv: cr.iv, anchor: expr.JoinConjuncts(cr.atoms)}
 	}
 	return Pred{kind: Residual}
 }
@@ -266,7 +283,15 @@ const (
 	atomNever
 )
 
+// exactInt bounds the float constants compared with integer columns:
+// below 2^53 in magnitude every integer converts to float64 exactly, and
+// an integer beyond it converts to a float beyond the constant, so the
+// kernel's float comparison and an integer bound agree on every row.
+const exactInt = 1 << 53
+
 // eqKey normalizes an equality constant into the column's value domain.
+// A NaN constant equals every number under the kernel's comparison, so
+// it selects every non-NULL row and cannot anchor.
 func eqKey(colType vector.Type, v vector.Value) (vkey, atomStatus) {
 	switch colType {
 	case vector.Int64, vector.Timestamp:
@@ -274,7 +299,10 @@ func eqKey(colType vector.Type, v vector.Value) (vkey, atomStatus) {
 		case vector.Int64, vector.Timestamp:
 			return vkey{kind: keyInt, i: v.I}, atomOK
 		case vector.Float64:
-			if v.F != math.Trunc(v.F) || v.F < math.MinInt64 || v.F >= math.MaxInt64 {
+			if math.IsNaN(v.F) || math.Abs(v.F) >= exactInt {
+				return vkey{}, atomSkip
+			}
+			if v.F != math.Trunc(v.F) {
 				return vkey{}, atomNever // 3.5 never equals an integer
 			}
 			return vkey{kind: keyInt, i: int64(v.F)}, atomOK
@@ -284,7 +312,7 @@ func eqKey(colType vector.Type, v vector.Value) (vkey, atomStatus) {
 		case vector.Int64, vector.Timestamp, vector.Float64:
 			f := v.AsFloat()
 			if math.IsNaN(f) {
-				return vkey{}, atomNever
+				return vkey{}, atomSkip
 			}
 			return vkey{kind: keyFloat, f: f}, atomOK
 		}
@@ -300,6 +328,16 @@ func eqKey(colType vector.Type, v vector.Value) (vkey, atomStatus) {
 	return vkey{}, atomSkip // cross-type compare the index cannot judge
 }
 
+// nanBound classifies a comparison with a NaN constant: the kernel finds
+// every number equal to NaN, so x <= NaN and x >= NaN hold on every
+// non-NULL row (no anchor) and x < NaN, x > NaN on none.
+func nanBound(op expr.BinOp) (interval, atomStatus) {
+	if op == expr.CmpLe || op == expr.CmpGe {
+		return interval{}, atomSkip
+	}
+	return interval{}, atomNever
+}
+
 // rangeBound turns one inequality conjunct into a native-domain interval.
 func rangeBound(colType vector.Type, op expr.BinOp, v vector.Value) (interval, atomStatus) {
 	switch colType {
@@ -313,100 +351,85 @@ func rangeBound(colType vector.Type, op expr.BinOp, v vector.Value) (interval, a
 		default:
 			return interval{}, atomSkip
 		}
+		iv := unbounded(false)
 		switch op {
 		case expr.CmpLt:
 			if c == math.MinInt64 {
 				return interval{}, atomNever
 			}
-			return interval{hasHi: true, hiI: c - 1}, atomOK
+			iv.hiI = c - 1
 		case expr.CmpLe:
-			return interval{hasHi: true, hiI: c}, atomOK
+			iv.hiI = c
 		case expr.CmpGt:
 			if c == math.MaxInt64 {
 				return interval{}, atomNever
 			}
-			return interval{hasLo: true, loI: c + 1}, atomOK
+			iv.loI = c + 1
 		case expr.CmpGe:
-			return interval{hasLo: true, loI: c}, atomOK
+			iv.loI = c
 		}
+		return iv, atomOK
 	case vector.Float64:
 		if v.Typ != vector.Int64 && v.Typ != vector.Timestamp && v.Typ != vector.Float64 {
 			return interval{}, atomSkip
 		}
 		c := v.AsFloat()
 		if math.IsNaN(c) {
-			return interval{}, atomNever
+			return nanBound(op)
 		}
+		iv := unbounded(true)
 		switch op {
 		case expr.CmpLt:
-			return interval{isFloat: true, hasHi: true, hiF: c, hiOpen: true}, atomOK
+			if math.IsInf(c, -1) {
+				return interval{}, atomNever
+			}
+			iv.hiF, iv.nanOK = math.Nextafter(c, math.Inf(-1)), false
 		case expr.CmpLe:
-			return interval{isFloat: true, hasHi: true, hiF: c}, atomOK
+			iv.hiF = c
 		case expr.CmpGt:
-			return interval{isFloat: true, hasLo: true, loF: c, loOpen: true}, atomOK
+			if math.IsInf(c, 1) {
+				return interval{}, atomNever
+			}
+			iv.loF, iv.nanOK = math.Nextafter(c, math.Inf(1)), false
 		case expr.CmpGe:
-			return interval{isFloat: true, hasLo: true, loF: c}, atomOK
+			iv.loF = c
 		}
+		return iv, atomOK
 	}
 	return interval{}, atomSkip
 }
 
 // floatBoundOnInt bounds an integer column by a float constant: the
-// tightest integer bound that keeps every satisfying integer inside.
+// tightest integer bound that keeps exactly the integers the kernel's
+// float comparison accepts.
 func floatBoundOnInt(op expr.BinOp, c float64) (interval, atomStatus) {
 	if math.IsNaN(c) {
-		return interval{}, atomNever
+		return nanBound(op)
 	}
-	const lim = float64(math.MaxInt64 / 2) // stay far from int64 edges
-	if c > lim {
-		if op == expr.CmpLt || op == expr.CmpLe {
-			return interval{}, atomSkip // always true for in-range ints
-		}
-		return interval{}, atomNever
+	if math.Abs(c) >= exactInt {
+		return interval{}, atomSkip
 	}
-	if c < -lim {
-		if op == expr.CmpGt || op == expr.CmpGe {
-			return interval{}, atomSkip
-		}
-		return interval{}, atomNever
-	}
+	iv := unbounded(false)
 	switch op {
 	case expr.CmpLt: // largest int < c
-		return interval{hasHi: true, hiI: int64(math.Ceil(c)) - 1}, atomOK
+		iv.hiI = int64(math.Ceil(c)) - 1
 	case expr.CmpLe: // largest int <= c
-		return interval{hasHi: true, hiI: int64(math.Floor(c))}, atomOK
+		iv.hiI = int64(math.Floor(c))
 	case expr.CmpGt: // smallest int > c
-		return interval{hasLo: true, loI: int64(math.Floor(c)) + 1}, atomOK
+		iv.loI = int64(math.Floor(c)) + 1
 	default: // CmpGe: smallest int >= c
-		return interval{hasLo: true, loI: int64(math.Ceil(c))}, atomOK
+		iv.loI = int64(math.Ceil(c))
 	}
+	return iv, atomOK
 }
 
 // intersect merges two intervals over the same column. Mixed domains
 // cannot arise: the domain is a function of the column type.
 func intersect(a, b interval) interval {
-	out := a
-	if b.hasLo {
-		switch {
-		case !out.hasLo:
-			out.hasLo, out.loI, out.loF, out.loOpen = true, b.loI, b.loF, b.loOpen
-		case out.isFloat && (b.loF > out.loF || (b.loF == out.loF && b.loOpen)):
-			out.loF, out.loOpen = b.loF, b.loOpen
-		case !out.isFloat && b.loI > out.loI:
-			out.loI = b.loI
-		}
-	}
-	if b.hasHi {
-		switch {
-		case !out.hasHi:
-			out.hasHi, out.hiI, out.hiF, out.hiOpen = true, b.hiI, b.hiF, b.hiOpen
-		case out.isFloat && (b.hiF < out.hiF || (b.hiF == out.hiF && b.hiOpen)):
-			out.hiF, out.hiOpen = b.hiF, b.hiOpen
-		case !out.isFloat && b.hiI < out.hiI:
-			out.hiI = b.hiI
-		}
-	}
-	return out
+	a.loI, a.hiI = max(a.loI, b.loI), min(a.hiI, b.hiI)
+	a.loF, a.hiF = max(a.loF, b.loF), min(a.hiF, b.hiF)
+	a.nanOK = a.nanOK && b.nanOK
+	return a
 }
 
 // entry is one indexed predicate with its opaque payload (the caller's
@@ -417,12 +440,12 @@ type entry struct {
 	pred    Pred
 }
 
-// state is the immutable matching structure Match reads with a single
-// atomic load: the discrimination network plus the pending overlay of
-// entries added since the last rebuild (visited unconditionally). The
-// network and the overlay are published together so a concurrent
+// state is the immutable matching structure MatchRows reads with a
+// single atomic load: the discrimination network plus the pending
+// overlay of entries added since the last rebuild (selecting every row).
+// The network and the overlay are published together so a concurrent
 // rebuild — which moves entries from the overlay into the network, or
-// drops removed ones from both — can never leave Match seeing an entry
+// drops removed ones from both — can never leave a match seeing an entry
 // in both places (duplicate routing) or in neither (a silently missed
 // batch).
 type state struct {
@@ -440,8 +463,13 @@ type Index struct {
 	// the atomic state pointer only.
 	mu     sync.Mutex
 	master map[uint64]*entry // all registered entries, by id (under mu)
-	size   atomic.Int64
-	st     atomic.Pointer[state]
+	// pending is the overlay's backing array (under mu). Add appends to it
+	// and publishes a prefix; a snapshot never reads past its prefix, and
+	// a rebuild starts a fresh array instead of truncating this one, so no
+	// element a published snapshot can see is ever rewritten.
+	pending []*entry
+	size    atomic.Int64
+	st      atomic.Pointer[state]
 }
 
 // NewIndex returns an empty index.
@@ -455,7 +483,7 @@ func NewIndex() *Index {
 func (ix *Index) Len() int { return int(ix.size.Load()) }
 
 // Add registers a predicate under id. The entry lands in the pending
-// overlay (matched as always-match) until the next FlushIfDirty folds it
+// overlay (selecting every row) until the next FlushIfDirty folds it
 // into the snapshot, so registration cost stays flat in index size.
 func (ix *Index) Add(id uint64, p Pred, payload any) {
 	e := &entry{id: id, payload: payload, pred: p}
@@ -466,15 +494,14 @@ func (ix *Index) Add(id uint64, p Pred, payload any) {
 	if p.kind == Never {
 		return // never matches; no need to route it at all
 	}
+	ix.pending = append(ix.pending, e)
+	n := len(ix.pending)
 	old := ix.st.Load()
-	pending := make([]*entry, len(old.pending)+1)
-	copy(pending, old.pending)
-	pending[len(old.pending)] = e
-	ix.st.Store(&state{eq: old.eq, rngs: old.rngs, residual: old.residual, pending: pending})
+	ix.st.Store(&state{eq: old.eq, rngs: old.rngs, residual: old.residual, pending: ix.pending[:n:n]})
 }
 
 // Remove drops the entry registered under id and publishes a rebuilt
-// snapshot, so no later Match can return its payload.
+// snapshot, so no later match can return its payload.
 func (ix *Index) Remove(id uint64) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -488,7 +515,7 @@ func (ix *Index) Remove(id uint64) {
 
 // FlushIfDirty folds pending additions into the discrimination network.
 // The scan transition calls it at the top of each firing, so
-// steady-state matching never pays the always-visit overlay for long.
+// steady-state matching never pays the every-row overlay for long.
 func (ix *Index) FlushIfDirty() {
 	if len(ix.st.Load().pending) == 0 {
 		return
@@ -520,163 +547,176 @@ func (ix *Index) rebuildLocked() {
 			next.residual = append(next.residual, e)
 		}
 	}
+	ix.pending = nil
 	ix.st.Store(next)
 }
 
-// colStats caches one column's batch min/max for interval overlap tests.
-type colStats struct {
-	any        bool
-	minI, maxI int64
-	minF, maxF float64
+// Hit is one entry a batch reaches: its payload and the batch rows its
+// anchor selects.
+type Hit struct {
+	Payload any
+	// Rows are the sorted view-relative positions where the anchor holds
+	// (never empty); nil means every row (residual and pending entries).
+	// Hits may share one list, so callers must not modify it.
+	Rows bat.Candidates
 }
 
-// Match appends to out the payloads of every entry whose predicate may
-// match the batch: residual and pending entries always, equality entries
-// whose bucket key occurs among the batch's distinct values, range
-// entries whose interval overlaps the batch column's min/max. Each
-// distinct predicate atom is evaluated once per batch, not once per
-// query. Safe for concurrent use with Add/Remove.
-func (ix *Index) Match(batch bat.View, out []any) []any {
+// MatchRows appends one Hit per entry whose anchor holds on some row of
+// the batch: residual and pending entries with every row, equality and
+// range entries with the rows their anchor selects. Each anchored column
+// is read once for all equality entries on it. Safe for concurrent use
+// with Add/Remove.
+func (ix *Index) MatchRows(batch bat.View, out []Hit) []Hit {
 	st := ix.st.Load()
 	for _, e := range st.residual {
-		out = append(out, e.payload)
+		out = append(out, Hit{Payload: e.payload})
 	}
 	for _, e := range st.pending {
-		out = append(out, e.payload)
+		out = append(out, Hit{Payload: e.payload})
 	}
 	for col, buckets := range st.eq {
-		out = probeColumn(batch, col, buckets, out)
+		out = eqRows(batch, col, buckets, out)
 	}
-	if len(st.rngs) > 0 {
-		stats := map[int]*colStats{}
-		for _, e := range st.rngs {
-			st := stats[e.pred.col]
-			if st == nil {
-				st = columnStats(batch, e.pred.col)
-				stats[e.pred.col] = st
-			}
-			if overlaps(&e.pred.iv, st) {
-				out = append(out, e.payload)
-			}
+	for _, e := range st.rngs {
+		if rows := rangeRows(batch, e.pred.col, &e.pred.iv); len(rows) > 0 {
+			out = append(out, Hit{Payload: e.payload, Rows: rows})
 		}
 	}
 	return out
 }
 
-// probeColumn hashes the batch's distinct non-null values of one column
-// into the eq buckets — one pass over the rows regardless of how many
-// queries anchor on the column.
-func probeColumn(batch bat.View, col int, buckets map[vkey][]*entry, out []any) []any {
-	seen := map[vkey]struct{}{}
-	probe := func(k vkey) {
-		if _, dup := seen[k]; dup {
-			return
-		}
-		seen[k] = struct{}{}
-		for _, e := range buckets[k] {
-			out = append(out, e.payload)
-		}
+// Match appends to out the payloads MatchRows reaches, without the rows.
+func (ix *Index) Match(batch bat.View, out []any) []any {
+	for _, h := range ix.MatchRows(batch, nil) {
+		out = append(out, h.Payload)
 	}
-	for _, ch := range batch.Chunks {
-		if col >= len(ch.Cols) {
-			continue
+	return out
+}
+
+// eqRows groups the batch's rows by their value in one column, keeping
+// only values that have a bucket, and hands each bucket's entries that
+// value's rows — one pass over the column however many entries anchor
+// on it. NULL rows satisfy no equality. NaN rows satisfy every one (the
+// kernel compares NaN equal to every number), so they join every bucket.
+func eqRows(batch bat.View, col int, buckets map[vkey][]*entry, out []Hit) []Hit {
+	if len(batch.Chunks) == 0 {
+		return out
+	}
+	g := &eqGroups{buckets: buckets}
+	switch batch.Chunks[0].Cols[col].Type() {
+	case vector.Int64, vector.Timestamp:
+		groupColumn(g, batch, col, (*vector.Vector).Ints, func(x int64) vkey { return vkey{kind: keyInt, i: x} })
+	case vector.Float64:
+		groupColumn(g, batch, col, (*vector.Vector).Floats, func(x float64) vkey { return vkey{kind: keyFloat, f: x} })
+	case vector.String:
+		groupColumn(g, batch, col, (*vector.Vector).Strings, func(x string) vkey { return vkey{kind: keyString, s: x} })
+	case vector.Bool:
+		groupColumn(g, batch, col, (*vector.Vector).Bools, func(x bool) vkey { return vkey{kind: keyBool, b: x} })
+	}
+	if len(g.nan) > 0 {
+		withNaN := make(map[vkey]bat.Candidates, len(g.groups))
+		for _, gr := range g.groups {
+			withNaN[gr.key] = bat.Union(gr.rows, g.nan)
 		}
-		v := ch.Cols[col]
-		nulls := v.HasNulls()
-		switch v.Type() {
-		case vector.Int64, vector.Timestamp:
-			for i, x := range v.Ints() {
-				if nulls && v.IsNull(i) {
-					continue
-				}
-				probe(vkey{kind: keyInt, i: x})
+		for k, ents := range buckets {
+			rows, ok := withNaN[k]
+			if !ok {
+				rows = g.nan
 			}
-		case vector.Float64:
-			for i, x := range v.Floats() {
-				if nulls && v.IsNull(i) {
-					continue
-				}
-				probe(vkey{kind: keyFloat, f: x})
+			for _, e := range ents {
+				out = append(out, Hit{Payload: e.payload, Rows: rows})
 			}
-		case vector.String:
-			for i, x := range v.Strings() {
-				if nulls && v.IsNull(i) {
-					continue
-				}
-				probe(vkey{kind: keyString, s: x})
-			}
-		case vector.Bool:
-			for i, x := range v.Bools() {
-				if nulls && v.IsNull(i) {
-					continue
-				}
-				probe(vkey{kind: keyBool, b: x})
-			}
+		}
+		return out
+	}
+	for _, gr := range g.groups {
+		for _, e := range gr.ents {
+			out = append(out, Hit{Payload: e.payload, Rows: gr.rows})
 		}
 	}
 	return out
 }
 
-// columnStats computes the batch min/max of one column, skipping nulls.
-func columnStats(batch bat.View, col int) *colStats {
-	st := &colStats{}
+// eqGroups is eqRows' working state for one column: the rows of each
+// bucket key the batch holds, and the NaN rows.
+type eqGroups struct {
+	buckets map[vkey][]*entry
+	groups  []eqGroup
+	nan     bat.Candidates
+}
+
+type eqGroup struct {
+	key  vkey
+	ents []*entry
+	rows bat.Candidates
+}
+
+// group creates k's group and returns its index, or -1 when no entry
+// anchors on k.
+func (g *eqGroups) group(k vkey) int {
+	ents, ok := g.buckets[k]
+	if !ok {
+		return -1
+	}
+	g.groups = append(g.groups, eqGroup{key: k, ents: ents})
+	return len(g.groups) - 1
+}
+
+// groupColumn adds every row of one column to its value's group. Each
+// distinct value is looked up in the buckets once; later rows find its
+// group through a map keyed by the column's native type.
+func groupColumn[T comparable](g *eqGroups, batch bat.View, col int, values func(*vector.Vector) []T, key func(T) vkey) {
+	seen := map[T]int{}
+	base := 0
 	for _, ch := range batch.Chunks {
-		if col >= len(ch.Cols) {
-			continue
-		}
 		v := ch.Cols[col]
-		nulls := v.HasNulls()
+		nulls := v.Nulls()
+		for i, x := range values(v) {
+			switch {
+			case nulls != nil && nulls[i]:
+			case x != x: // NaN; never true for non-float T
+				g.nan = append(g.nan, base+i)
+			default:
+				s, ok := seen[x]
+				if !ok {
+					s = g.group(key(x))
+					seen[x] = s
+				}
+				if s >= 0 {
+					g.groups[s].rows = append(g.groups[s].rows, base+i)
+				}
+			}
+		}
+		base += ch.Len()
+	}
+}
+
+// rangeRows returns the batch rows whose value in col lies inside iv,
+// reading the column's native slice (no per-row boxing). NULL rows never
+// qualify.
+func rangeRows(batch bat.View, col int, iv *interval) bat.Candidates {
+	var rows bat.Candidates
+	base := 0
+	for _, ch := range batch.Chunks {
+		v := ch.Cols[col]
+		nulls := v.Nulls()
 		switch v.Type() {
 		case vector.Int64, vector.Timestamp:
+			lo, hi := iv.loI, iv.hiI
 			for i, x := range v.Ints() {
-				if nulls && v.IsNull(i) {
-					continue
-				}
-				if !st.any {
-					st.any, st.minI, st.maxI = true, x, x
-				} else if x < st.minI {
-					st.minI = x
-				} else if x > st.maxI {
-					st.maxI = x
+				if x >= lo && x <= hi && (nulls == nil || !nulls[i]) {
+					rows = append(rows, base+i)
 				}
 			}
 		case vector.Float64:
+			lo, hi, nanOK := iv.loF, iv.hiF, iv.nanOK
 			for i, x := range v.Floats() {
-				if nulls && v.IsNull(i) {
-					continue
-				}
-				if !st.any {
-					st.any, st.minF, st.maxF = true, x, x
-				} else if x < st.minF {
-					st.minF = x
-				} else if x > st.maxF {
-					st.maxF = x
+				if (x >= lo && x <= hi || nanOK && x != x) && (nulls == nil || !nulls[i]) {
+					rows = append(rows, base+i)
 				}
 			}
 		}
+		base += ch.Len()
 	}
-	return st
-}
-
-// overlaps reports whether any value in [min, max] can fall inside iv.
-func overlaps(iv *interval, st *colStats) bool {
-	if !st.any {
-		return false
-	}
-	if iv.isFloat {
-		if iv.hasLo && (st.maxF < iv.loF || (st.maxF == iv.loF && iv.loOpen)) {
-			return false
-		}
-		if iv.hasHi && (st.minF > iv.hiF || (st.minF == iv.hiF && iv.hiOpen)) {
-			return false
-		}
-		return true
-	}
-	if iv.hasLo && st.maxI < iv.loI {
-		return false
-	}
-	if iv.hasHi && st.minI > iv.hiI {
-		return false
-	}
-	return true
+	return rows
 }

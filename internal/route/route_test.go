@@ -88,10 +88,11 @@ func TestMatchRouting(t *testing.T) {
 	if !got["rng50_60"] || !got["all"] || got["eq7"] {
 		t.Errorf("batch(55): got %v", got)
 	}
-	// Range overlap is judged on min/max: 49 and 61 straddle the band.
+	// Range entries are judged row by row: 49 and 61 straddle the band
+	// but neither lies inside it.
 	got = matchSet(ix, intBatch(49, 61))
-	if !got["rng50_60"] {
-		t.Errorf("batch(49,61): min/max overlap should route rng50_60, got %v", got)
+	if got["rng50_60"] {
+		t.Errorf("batch(49,61): no row lies in [50,60), rng50_60 should be skipped, got %v", got)
 	}
 	got = matchSet(ix, intBatch(10, 20))
 	if got["rng50_60"] {
