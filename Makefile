@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet vet-tool lint fmt bench bench-go bench-profile bench-sched bench-partitioned bench-partitioned-smoke bench-windowed bench-windowed-smoke bench-join bench-join-smoke bench-durability bench-durability-smoke bench-obs bench-obs-smoke bench-multiquery bench-multiquery-smoke check
+.PHONY: build test race vet vet-tool lint fmt bench bench-go bench-profile bench-sched bench-partitioned bench-partitioned-smoke bench-windowed bench-windowed-smoke bench-join bench-join-smoke bench-durability bench-durability-smoke bench-obs bench-obs-smoke bench-multiquery bench-multiquery-smoke check loc
 
 build:
 	$(GO) build ./...
@@ -138,3 +138,12 @@ bench-sched:
 	$(GO) test -bench=. -benchmem -run=^$$ ./internal/scheduler/
 
 check: build vet fmt test
+
+# loc prints the non-test Go line count of internal/datacell and of the
+# whole module (excluding the separate perfbench module and its build
+# cache) — the design-size progress metric.
+LOC = find $(1) -name '*.go' ! -name '*_test.go' -not -path './perfbench/*' -not -path './.bench_build/*' | xargs cat | wc -l
+
+loc:
+	@echo "internal/datacell: $$($(call LOC,internal/datacell))"
+	@echo "module: $$($(call LOC,.))"

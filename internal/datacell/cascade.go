@@ -2,6 +2,7 @@ package datacell
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/adapters"
@@ -146,29 +147,37 @@ func (e *Engine) RegisterCascade(name, streamName string, preds []CascadePredica
 		return nil, fmt.Errorf("%w: %q", ErrUnknownStream, streamName)
 	}
 
+	// Resolve every attribute before registering anything.
+	attrIdx := make([]int, len(preds))
+	for i, p := range preds {
+		if attrIdx[i] = s.schema.Index(p.Attr); attrIdx[i] < 0 {
+			return nil, fmt.Errorf("datacell: cascade attribute %q not in stream %s", p.Attr, streamName)
+		}
+	}
+
 	c := &Cascade{Name: name, stream: streamName}
 	// Stage 0 reads a private replica of the stream; the paper's "extra
 	// basket between q1 and q2" connects consecutive stages.
 	head := basket.New(name+"_s0_in", s.schema, e.clock)
 	chain := head
 	for i, p := range preds {
-		attrIdx := s.schema.Index(p.Attr)
-		if attrIdx < 0 {
-			return nil, fmt.Errorf("datacell: cascade attribute %q not in stream %s", p.Attr, streamName)
-		}
 		var next *basket.Basket
 		if i+1 < len(preds) {
 			next = basket.New(fmt.Sprintf("%s_s%d_in", name, i+1), s.schema, e.clock)
 		}
 		out := basket.New(fmt.Sprintf("%s_s%d_out", name, i), s.schema, e.clock)
 		if err := e.cat.Register(out.Name(), catalog.KindBasket, out); err != nil {
+			for _, st := range c.stages {
+				_ = e.cat.Drop(st.out.Name())
+				st.sub.closeWith(ErrSubscriptionClosed)
+			}
 			return nil, err
 		}
 		emitter := adapters.NewChannelEmitter(fmt.Sprintf("%s_s%d_emit", name, i), out, 64, adapters.BackpressureBlock)
 		stage := &cascadeStage{
 			name:    fmt.Sprintf("%s_s%d", name, i),
 			pred:    p,
-			attrIdx: attrIdx,
+			attrIdx: attrIdx[i],
 			in:      chain,
 			next:    next,
 			out:     out,
@@ -179,8 +188,8 @@ func (e *Engine) RegisterCascade(name, streamName string, preds []CascadePredica
 	}
 
 	e.mu.Lock()
-	// Copy-on-write: see registerParsed.
-	s.replicas = append(append([]*basket.Basket(nil), s.replicas...), head)
+	// Copy-on-write: see install.
+	s.replicas = append(slices.Clone(s.replicas), head)
 	e.cascades[key] = c
 	e.mu.Unlock()
 	// Cascades are Go-only (no DDL spelling) and therefore not journaled
@@ -196,7 +205,7 @@ func (e *Engine) RegisterCascade(name, streamName string, preds []CascadePredica
 	return c, nil
 }
 
-// Cascade returns a registered cascade by name.
+// CascadeByName returns a registered cascade by name.
 func (e *Engine) CascadeByName(name string) (*Cascade, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()

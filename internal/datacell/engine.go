@@ -127,6 +127,7 @@ type Engine struct {
 	streams    map[string]*stream
 	tables     map[string]*storage.Table
 	queries    map[string]*Query
+	reserved   map[string]struct{} // query names claimed by an unfinished register or drop
 	cascades   map[string]*Cascade
 	subs       []*Subscription
 	workers    int
@@ -191,6 +192,7 @@ func New(cfg Config) *Engine {
 		streams:  map[string]*stream{},
 		tables:   map[string]*storage.Table{},
 		queries:  map[string]*Query{},
+		reserved: map[string]struct{}{},
 		cascades: map[string]*Cascade{},
 		workers:  workers,
 		done:     make(chan struct{}),
@@ -633,7 +635,7 @@ func (e *Engine) lookupStream(name string) (*stream, error) {
 // primary basket (when shared consumers, or nobody, read it), to every
 // separate-strategy replica, and — on a partitioned stream with
 // registered shard readers — routes each tuple to its shard basket. The
-// replica slice is copy-on-write (see registerParsed), so the snapshot
+// replica slice is copy-on-write (see install), so the snapshot
 // taken under e.mu is used as-is instead of being recloned on every call.
 func (e *Engine) fanout(s *stream, n int, cols []*vector.Vector) error {
 	if e.obs != nil {

@@ -307,26 +307,24 @@ func (e *Engine) observeStage(q *Query, h *scheduler.Handle, stage, name string,
 
 // factoryDelta returns a closure reporting the tuples a firing moved:
 // the difference of the factory's cumulative counters since the last
-// call. A transition fires on one worker at a time (the claim state
-// machine guarantees it), so the closure state needs no lock.
+// call. The claim state machine keeps workers from overlapping one
+// transition, but a deterministic Step (Engine.Drain) may fire it while
+// the pool is live, so the cursors are atomic.
 func factoryDelta(f *factory.Factory) func() (int64, int64) {
-	var lastIn, lastOut int64
+	var lastIn, lastOut atomic.Int64
 	return func() (int64, int64) {
 		st := f.Stats()
-		in, out := st.TuplesIn-lastIn, st.TuplesOut-lastOut
-		lastIn, lastOut = st.TuplesIn, st.TuplesOut
-		return in, out
+		return st.TuplesIn - lastIn.Swap(st.TuplesIn), st.TuplesOut - lastOut.Swap(st.TuplesOut)
 	}
 }
 
 // counterDelta adapts a single cumulative counter (merged rows,
 // delivered rows) the same way; the count appears as both in and out.
 func counterDelta(read func() int64) func() (int64, int64) {
-	var last int64
+	var last atomic.Int64
 	return func() (int64, int64) {
 		v := read()
-		d := v - last
-		last = v
+		d := v - last.Swap(v)
 		return d, d
 	}
 }

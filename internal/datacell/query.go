@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -48,12 +49,16 @@ type Query struct {
 	shardIns  []*basket.Basket  // stream-owned shard baskets (partitioned only)
 	shardOuts []*basket.Basket  // per-shard emission baskets (non-aligned windowed merges only)
 	tails     []*partition.Tail // per-shard SPSC handoff rings (plain/aligned merges)
-	unsubs    []func()          // basket listener detach hooks, run at unregister
+	unsubs    []func()          // basket listener detach hooks, run by uninstall
 	sub       *Subscription     // nil when the query polls via SQL
-	replicas  []*basket.Basket  // separate strategy only (one per joined stream)
+	replicas  []*basket.Basket  // separate strategy only (replicas[i] copies streams[i])
 	routed    *routedQuery      // routed strategy only (shared-scan attachment)
 	engine    *Engine
 	durable   bool // state captured by checkpoints (durable engines only)
+
+	// uninstalled is set under e.mu by the first uninstall, so concurrent
+	// drops tear the query down once.
+	uninstalled bool
 
 	// trace is the bounded ring of the query's last-K pipeline firings
 	// (SHOW TRACE). Nil when the engine's metrics are disabled.
@@ -510,7 +515,9 @@ func continuousDDL(name, text string, cfg queryConfig) string {
 }
 
 // registerParsed is the single registration path behind both
-// RegisterContinuous and CREATE CONTINUOUS QUERY.
+// RegisterContinuous and CREATE CONTINUOUS QUERY: claim the name, build
+// the query for its shape, install it. A failure at any step is undone
+// by uninstall, which also releases the claim.
 func (e *Engine) registerParsed(name, text string, sel *sql.SelectStmt, opts ...QueryOption) (*Query, error) {
 	if err := e.guard(nil); err != nil {
 		return nil, err
@@ -519,27 +526,52 @@ func (e *Engine) registerParsed(name, text string, sel *sql.SelectStmt, opts ...
 	for _, o := range opts {
 		o(&cfg)
 	}
+	// Claim the name before any side effect: building a shared-input
+	// factory registers a reader mark under the query's name, which a
+	// race loser's cleanup would otherwise strip from the winner.
 	key := strings.ToLower(name)
 	e.mu.Lock()
-	if _, dup := e.queries[key]; dup {
-		e.mu.Unlock()
-		return nil, fmt.Errorf("%w: %q", ErrDuplicateQuery, name)
+	_, dup := e.queries[key]
+	_, claimed := e.reserved[key]
+	if !dup && !claimed {
+		e.reserved[key] = struct{}{}
 	}
 	e.mu.Unlock()
+	if dup || claimed {
+		return nil, fmt.Errorf("%w: %q", ErrDuplicateQuery, name)
+	}
+	q := &Query{Name: name, SQL: text, Strategy: cfg.strategy, engine: e}
+	err := e.build(q, sel, cfg)
+	if err == nil {
+		err = e.install(q, cfg)
+	}
+	if err != nil {
+		e.uninstall(q)
+		return nil, err
+	}
+	return q, nil
+}
 
+// build constructs the query's topology for its shape — baskets, shard
+// tails, factories, merge, routed-scan group info — and publishes
+// nothing: until install, no ingest, scheduler or catalog path can reach
+// what it built. The one side effect is the reader mark a shared-input
+// factory leaves on its input basket, which uninstall's Close releases.
+func (e *Engine) build(q *Query, sel *sql.SelectStmt, cfg queryConfig) error {
 	if !sel.IsContinuous() {
-		return nil, fmt.Errorf("%w: %q; run it with Exec", ErrNotContinuous, name)
+		return fmt.Errorf("%w: %q; run it with Exec", ErrNotContinuous, q.Name)
 	}
 	streamNames, err := basketExprStreams(sel)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if len(streamNames) == 2 {
 		// Two basket expressions: a stream-stream join, executed by a
 		// symmetric-hash factory (one per shard when co-partitioned).
-		return e.registerStreamStream(name, text, sel, streamNames, cfg)
+		return e.buildStreamStream(q, sel, streamNames, cfg)
 	}
 	streamName := streamNames[0]
+	q.streams = []string{streamName}
 	e.mu.Lock()
 	s, isStream := e.streams[strings.ToLower(streamName)]
 	e.mu.Unlock()
@@ -551,26 +583,27 @@ func (e *Engine) registerParsed(name, text string, sel *sql.SelectStmt, opts ...
 	if !isStream {
 		entry, err := e.cat.Lookup(streamName)
 		if err != nil {
-			return nil, fmt.Errorf("%w: basket expression reads %q, which is neither a stream nor a basket", ErrUnknownStream, streamName)
+			return fmt.Errorf("%w: basket expression reads %q, which is neither a stream nor a basket", ErrUnknownStream, streamName)
 		}
 		b, ok := entry.Source.(*basket.Basket)
 		if !ok || entry.Kind != catalog.KindBasket {
-			return nil, fmt.Errorf("%w: basket expression over %q, which is a %s", ErrUnknownStream, streamName, entry.Kind)
+			return fmt.Errorf("%w: basket expression over %q, which is a %s", ErrUnknownStream, streamName, entry.Kind)
 		}
 		chained = b
 	}
 
 	p, err := plan.Build(sel, e.cat)
 	if err != nil {
-		return nil, e.planError(err)
+		return e.planError(err)
 	}
+	q.out = basket.New(q.Name+"_out", p.Schema(), e.clock)
 
 	if cfg.lateness != 0 || cfg.tsCol != "" {
 		if sel.Window == nil || sel.Window.Kind != sql.WindowRange {
-			return nil, fmt.Errorf("%w: lateness/timestamp apply to WINDOW RANGE queries only", ErrInvalidOption)
+			return fmt.Errorf("%w: lateness/timestamp apply to WINDOW RANGE queries only", ErrInvalidOption)
 		}
 		if cfg.lateness < 0 {
-			return nil, fmt.Errorf("%w: negative lateness", ErrInvalidOption)
+			return fmt.Errorf("%w: negative lateness", ErrInvalidOption)
 		}
 	}
 
@@ -584,18 +617,21 @@ func (e *Engine) registerParsed(name, text string, sel *sql.SelectStmt, opts ...
 	// Routed path: eligible filter/project pipelines over a stream attach
 	// to the stream's shared scan — one consumption frontier, predicate-
 	// indexed routing, one evaluation per distinct subplan — instead of a
-	// private pipeline. Ineligible shapes (windows, joins, chained
-	// baskets, shedding, batching, filtered consuming scans) and
-	// partitioned streams (ingest routes to shard baskets; a shared scan
-	// on the primary would retain and duplicate every tuple alongside the
-	// shard copies) fall back to the shared-basket arrangement below.
+	// private pipeline; install makes the query a member of its plan
+	// group. Ineligible shapes (windows, joins, chained baskets,
+	// shedding, batching, filtered consuming scans) and partitioned
+	// streams (ingest routes to shard baskets; a shared scan on the
+	// primary would retain and duplicate every tuple alongside the shard
+	// copies) fall back to the shared-basket arrangement below.
 	if cfg.strategy == RoutedScan {
 		if info, ok := routedPlanInfo(p, streamName); ok &&
 			isStream && s.router == nil && chained == nil && joinBuilder == nil &&
 			sel.Window == nil && cfg.shedAt == 0 && cfg.minTuples == 1 {
-			return e.registerRouted(name, text, streamName, s, info, cfg)
+			q.routed = &routedQuery{info: info}
+			return nil
 		}
 		cfg.strategy = SharedBaskets
+		q.Strategy = SharedBaskets
 	}
 
 	// Partitioned path: on a partitioned stream, a partitionable query is
@@ -613,69 +649,30 @@ func (e *Engine) registerParsed(name, text string, sel *sql.SelectStmt, opts ...
 				// stream tuple lives in exactly one shard, so the
 				// concatenated emissions are exact regardless of the key.
 				if an := partition.AnalyzeJoin(p, e.partitionLookup); an.OK && an.Broadcast {
-					return e.registerPartitioned(name, text, streamName, s,
-						p, partition.Analysis{OK: true, Mode: partition.MergeConcat, ShardPlan: p}, cfg, joinBuilder)
+					return e.buildPartitioned(q, s, partition.Analysis{OK: true, Mode: partition.MergeConcat, ShardPlan: p}, cfg, joinBuilder)
 				}
-			} else if an := partition.Analyze(p, streamName, s.router.Spec().By, name+"#partials"); an.OK {
-				return e.registerPartitioned(name, text, streamName, s, p, an, cfg, nil)
+			} else if an := partition.Analyze(p, streamName, s.router.Spec().By, q.Name+"#partials"); an.OK {
+				return e.buildPartitioned(q, s, an, cfg, nil)
 			}
-		} else if wan := partition.AnalyzeWindowed(p, streamName, s.router.Spec().By, name+"#partials", sel.Window); wan.OK {
-			return e.registerPartitionedWindowed(name, text, streamName, s, p, wan, sel.Window, cfg)
+		} else if wan := partition.AnalyzeWindowed(p, streamName, s.router.Spec().By, q.Name+"#partials", sel.Window); wan.OK {
+			return e.buildPartitionedWindowed(q, s, p, wan, sel.Window, cfg)
 		}
 	}
 
 	// Input arrangement per strategy.
 	var in factory.Input
-	var replica *basket.Basket
 	switch {
 	case chained != nil && cfg.strategy == SharedBaskets:
-		in = factory.Input{Basket: chained, Mode: factory.Shared, ReaderID: name, Bind: streamName}
+		in = factory.Input{Basket: chained, Mode: factory.Shared, ReaderID: q.Name, Bind: streamName}
 	case chained != nil:
 		// Owned-direct: this query is the exclusive consumer of the
 		// upstream basket (no receptor fan-out exists to replicate it).
 		in = factory.Input{Basket: chained, Mode: factory.Owned, Bind: streamName}
 	case cfg.strategy == SharedBaskets:
-		in = factory.Input{Basket: s.primary, Mode: factory.Shared, ReaderID: name, Bind: streamName}
+		in = factory.Input{Basket: s.primary, Mode: factory.Shared, ReaderID: q.Name, Bind: streamName}
 	default:
-		replica = basket.New(name+"_in", s.schema, e.clock)
-		if cfg.shedAt > 0 {
-			replica.SetCapacity(cfg.shedAt)
-		}
-		in = factory.Input{Basket: replica, Mode: factory.Owned, Bind: streamName}
-		e.mu.Lock()
-		// Copy-on-write: Ingest's fan-out reads the slice outside e.mu, so
-		// published slices are never extended or reordered in place.
-		s.replicas = append(append([]*basket.Basket(nil), s.replicas...), replica)
-		e.mu.Unlock()
-	}
-
-	// rollback undoes the replica publication (and, once registered, the
-	// output catalog entry) when a later registration step fails — an
-	// orphaned replica would keep receiving every future ingest batch
-	// with nothing consuming it.
-	rollback := func(dropOut bool) {
-		if replica != nil {
-			e.mu.Lock()
-			next := make([]*basket.Basket, 0, len(s.replicas))
-			for _, r := range s.replicas {
-				if r != replica {
-					next = append(next, r)
-				}
-			}
-			s.replicas = next
-			e.mu.Unlock()
-		}
-		if dropOut {
-			_ = e.cat.Drop(name + "_out")
-		}
-	}
-
-	// Output basket: the plan's schema (plus its own delivery ts), exposed
-	// in the catalog for one-time inspection.
-	out := basket.New(name+"_out", p.Schema(), e.clock)
-	if err := e.cat.Register(name+"_out", catalog.KindBasket, out); err != nil {
-		rollback(false)
-		return nil, fmt.Errorf("%w: %q", ErrDuplicateName, name+"_out")
+		q.replicas = []*basket.Basket{e.newReplica(q.Name+"_in", s, cfg)}
+		in = factory.Input{Basket: q.replicas[0], Mode: factory.Owned, Bind: streamName}
 	}
 
 	fopts := []factory.Option{
@@ -685,59 +682,243 @@ func (e *Engine) registerParsed(name, text string, sel *sql.SelectStmt, opts ...
 	if sel.Window != nil {
 		runner, err := e.buildWindowRunner(p, in.Basket.Schema(), streamName, sel.Window, cfg)
 		if err != nil {
-			rollback(true)
-			return nil, err
+			return err
 		}
 		fopts = append(fopts, factory.WithWindow(runner))
 	}
 	if joinBuilder != nil {
 		sj, err := joinBuilder()
 		if err != nil {
-			rollback(true)
-			return nil, err
+			return err
 		}
 		fopts = append(fopts, factory.WithStreamJoin(sj))
 	}
-	fact, err := factory.New(name, p, e.cat, []factory.Input{in}, []factory.Sink{out}, fopts...)
+	fact, err := factory.New(q.Name, p, e.cat, []factory.Input{in}, []factory.Sink{q.out}, fopts...)
 	if err != nil {
-		rollback(true)
-		return nil, err
+		return err
 	}
-
-	var replicas []*basket.Basket
-	if replica != nil {
-		replicas = []*basket.Basket{replica}
-	}
-	q := &Query{
-		Name:     name,
-		SQL:      text,
-		Strategy: cfg.strategy,
-		streams:  []string{streamName},
-		facts:    []*factory.Factory{fact},
-		out:      out,
-		replicas: replicas,
-		engine:   e,
-	}
-	if cfg.subDepth > 0 {
-		emitter := adapters.NewChannelEmitter(name+"_emit", out, cfg.subDepth, cfg.policy)
-		q.sub = newSubscription(e, emitter)
-	}
-	e.mu.Lock()
-	e.queries[key] = q
-	e.mu.Unlock()
-	e.installQuery(q, cfg)
-	return q, nil
+	q.facts = []*factory.Factory{fact}
+	return nil
 }
 
-// installQuery finalizes a registered query: durability wiring (the
+// newReplica builds a separate-strategy query's private copy of a
+// stream; install adds it to the stream's fan-out.
+func (e *Engine) newReplica(name string, s *stream, cfg queryConfig) *basket.Basket {
+	r := basket.New(name, s.schema, e.clock)
+	if cfg.shedAt > 0 {
+		r.SetCapacity(cfg.shedAt)
+	}
+	return r
+}
+
+// buildShards adds one pipeline per shard to a partitioned query: shard
+// i's factory reads shard i of every input stream in shared mode (so a
+// stream's partitioned queries share one routed copy) and emits into
+// <name>_out#i — an SPSC tail for plain and aligned merges, a basket
+// when tails is false (non-aligned windowed merges bucket partials by
+// window end). All pipelines share one latency histogram; extra supplies
+// shard i's per-pipeline state (join or window) as factory options.
+func (e *Engine) buildShards(q *Query, ins []*stream, srcs []string, p plan.Node, sinkSchema *catalog.Schema, tails bool, cfg queryConfig, extra func(i int) ([]factory.Option, error)) error {
+	q.streams = srcs
+	for _, s := range ins {
+		q.shardIns = append(q.shardIns, s.shards...)
+	}
+	latency := obs.NewHistogram()
+	for i := range ins[0].shards {
+		inputs := make([]factory.Input, len(ins))
+		for j, s := range ins {
+			inputs[j] = factory.Input{Basket: s.shards[i], Mode: factory.Shared, ReaderID: q.Name, Bind: srcs[j]}
+		}
+		sinkName := fmt.Sprintf("%s_out#%d", q.Name, i)
+		var sink factory.Sink
+		if tails {
+			t := partition.NewTail(sinkName, sinkSchema, tailRingBatches, e.clock)
+			q.tails = append(q.tails, t)
+			sink = t
+		} else {
+			b := basket.New(sinkName, sinkSchema, e.clock)
+			q.shardOuts = append(q.shardOuts, b)
+			sink = b
+		}
+		fopts := []factory.Option{
+			factory.WithMinTuples(cfg.minTuples),
+			factory.WithClock(e.clock),
+			factory.WithLatency(latency),
+		}
+		more, err := extra(i)
+		if err != nil {
+			return err
+		}
+		f, err := factory.New(fmt.Sprintf("%s#%d", q.Name, i), p, e.cat, inputs, []factory.Sink{sink}, append(fopts, more...)...)
+		if err != nil {
+			return err
+		}
+		q.facts = append(q.facts, f)
+	}
+	return nil
+}
+
+// shardSinks returns the per-shard emission places (<name>_out#i) of a
+// partitioned query, in shard order.
+func (q *Query) shardSinks() []catalog.Source {
+	var out []catalog.Source
+	for _, t := range q.tails {
+		out = append(out, t)
+	}
+	for _, b := range q.shardOuts {
+		out = append(out, b)
+	}
+	return out
+}
+
+// install publishes a built query. It is the one place that makes a query
+// visible: catalog entries for <name>_out and the shard sinks, the
+// routed-scan membership, the subscription, scheduler transitions, and
+// finally — under e.mu, in one step with consuming the name claim — the
+// replica fan-out, the shard-reader counts and the e.queries entry. A
+// failure leaves whatever was published for uninstall to undo.
+func (e *Engine) install(q *Query, cfg queryConfig) error {
+	if err := e.cat.Register(q.Name+"_out", catalog.KindBasket, q.out); err != nil {
+		return fmt.Errorf("%w: %q", ErrDuplicateName, q.Name+"_out")
+	}
+	for i, so := range q.shardSinks() {
+		name := fmt.Sprintf("%s_out#%d", q.Name, i)
+		if err := e.cat.RegisterShard(name, catalog.KindBasket, so, q.Name+"_out", i); err != nil {
+			return fmt.Errorf("%w: %q", ErrDuplicateName, name)
+		}
+	}
+	if r := q.routed; r != nil {
+		s, err := e.lookupStream(q.streams[0])
+		if err != nil {
+			return err
+		}
+		r.scan, r.group, r.member = e.attachRouted(s, q.Name, r.info, q.out, cfg.priority)
+	}
+	if cfg.subDepth > 0 {
+		q.sub = newSubscription(e, adapters.NewChannelEmitter(q.Name+"_emit", q.out, cfg.subDepth, cfg.policy))
+	}
+	e.scheduleQuery(q, cfg)
+
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	ins := e.streamsLocked(q)
+	for i, s := range ins {
+		if s == nil && (i < len(q.replicas) || q.merge != nil) {
+			return fmt.Errorf("%w: %q was dropped during registration", ErrUnknownStream, q.streams[i])
+		}
+	}
+	for i, r := range q.replicas {
+		// Copy-on-write: Ingest's fan-out reads the slice outside e.mu, so
+		// published slices are never extended or reordered in place.
+		ins[i].replicas = append(slices.Clone(ins[i].replicas), r)
+	}
+	if q.merge != nil {
+		// Shard routing starts once a stream has a partitioned reader.
+		for _, s := range ins {
+			s.shardReaders++
+		}
+	}
+	key := strings.ToLower(q.Name)
+	delete(e.reserved, key)
+	e.queries[key] = q
+	return nil
+}
+
+// streamsLocked resolves the streams a query reads, in q.streams order
+// (nil for a chained query's upstream basket). Caller holds e.mu.
+func (e *Engine) streamsLocked(q *Query) []*stream {
+	ins := make([]*stream, len(q.streams))
+	for i, name := range q.streams {
+		ins[i] = e.streams[strings.ToLower(name)]
+	}
+	return ins
+}
+
+// uninstall is install's exact inverse. It serves both a failed
+// registration (undoing whatever build and install got to) and DROP
+// CONTINUOUS QUERY. A published query is withdrawn under e.mu with its
+// name held claimed until the teardown completes, so a re-registration
+// never meets its leftover catalog entries; catalog entries are dropped
+// only while they still name this query's baskets, so a registration
+// that lost a name never drops the holder's entry. It reports false when
+// another caller already uninstalled q.
+func (e *Engine) uninstall(q *Query) bool {
+	key := strings.ToLower(q.Name)
+	e.mu.Lock()
+	if q.uninstalled {
+		e.mu.Unlock()
+		return false
+	}
+	q.uninstalled = true
+	if e.queries[key] == q {
+		delete(e.queries, key)
+		e.reserved[key] = struct{}{}
+		for i, s := range e.streamsLocked(q) {
+			if s == nil {
+				continue
+			}
+			if i < len(q.replicas) {
+				mine := q.replicas[i]
+				s.replicas = slices.DeleteFunc(slices.Clone(s.replicas), func(r *basket.Basket) bool { return r == mine })
+			}
+			if q.merge != nil {
+				s.shardReaders--
+			}
+		}
+	}
+	e.mu.Unlock()
+	// Detach the targeted wake-ups first: once the listeners are gone, no
+	// append can re-enqueue the transitions the removals below tear down.
+	for _, unsub := range q.unsubs {
+		unsub()
+	}
+	q.unsubs = nil
+	if r := q.routed; r != nil && r.member != nil {
+		// Detach from the shared scan (and tear the scan transition down
+		// when this was its last member) before dropping the out basket.
+		e.dropRouted(q)
+	}
+	for _, t := range q.tails {
+		t.SetWake(nil)
+	}
+	for _, f := range q.facts {
+		e.sched.Remove(f.Name())
+		// Close releases shared-reader marks, so shard (or shared)
+		// baskets compact tuples only this query was retaining.
+		f.Close()
+	}
+	if q.merge != nil {
+		e.sched.Remove(q.merge.Name())
+	}
+	if q.sub != nil {
+		q.sub.closeWith(ErrSubscriptionClosed)
+	}
+	for i, so := range q.shardSinks() {
+		e.dropOwned(fmt.Sprintf("%s_out#%d", q.Name, i), so)
+	}
+	e.dropOwned(q.Name+"_out", q.out)
+	e.mu.Lock()
+	delete(e.reserved, key)
+	e.mu.Unlock()
+	return true
+}
+
+// dropOwned removes a catalog entry only while it still names src.
+func (e *Engine) dropOwned(name string, src catalog.Source) {
+	if entry, err := e.cat.Lookup(name); err == nil && entry.Source == src {
+		_ = e.cat.Drop(name)
+	}
+}
+
+// scheduleQuery is install's scheduling step: durability wiring (the
 // delivery-frontier hook for exactly-once resumption, plus any
 // checkpoint-cadence tightening), then scheduler registration — with
 // gate-wrapped transitions on a durable engine so checkpoints cut
 // between firings, never through one. Each transition's input places
 // are subscribed to its scheduler handle, so an append wakes exactly
 // the transitions it can make fireable instead of rescanning the net;
-// the detach hooks accumulate in q.unsubs for unregistration.
-func (e *Engine) installQuery(q *Query, cfg queryConfig) {
+// the detach hooks accumulate in q.unsubs for uninstall.
+func (e *Engine) scheduleQuery(q *Query, cfg queryConfig) {
 	q.durable = cfg.durable && e.dur != nil
 	if q.durable {
 		if q.sub != nil {
@@ -780,7 +961,7 @@ func (e *Engine) installQuery(q *Query, cfg queryConfig) {
 }
 
 // subscribe wires a basket append to a transition wake-up and records the
-// detach hook for unregisterContinuous.
+// detach hook for uninstall.
 func (q *Query) subscribe(b *basket.Basket, h *scheduler.Handle) {
 	id := b.Subscribe(h.Wake)
 	q.unsubs = append(q.unsubs, func() { b.Unsubscribe(id) })
@@ -818,96 +999,33 @@ func (q *Query) Checkpoint() CheckpointInfo {
 	return info
 }
 
-// registerPartitioned installs a continuous query as N shard pipelines
-// over the stream's shard baskets: per shard one factory running the
-// analysis' shard plan into a private emission basket (<name>_out#i),
+// buildPartitioned builds a continuous query as N shard pipelines over
+// the stream's shard baskets, each running the analysis' shard plan,
 // plus a merge transition recombining the emissions into <name>_out —
 // order-preserving per shard, with a global distinct/re-aggregation
-// stage when the analysis requires one. Shard factories consume the
-// stream's shard baskets in shared (watermark) mode, so several
-// partitioned queries share one routed copy of the stream. joinBuilder,
-// when non-nil, gives every shard factory its own stream-table join
-// state (the broadcast decomposition).
-func (e *Engine) registerPartitioned(name, text, streamName string, s *stream, p plan.Node, an partition.Analysis, cfg queryConfig, joinBuilder func() (*exec.StreamJoin, error)) (*Query, error) {
-	key := strings.ToLower(name)
-	out := basket.New(name+"_out", p.Schema(), e.clock)
-	if err := e.cat.Register(name+"_out", catalog.KindBasket, out); err != nil {
-		return nil, fmt.Errorf("%w: %q", ErrDuplicateName, name+"_out")
-	}
-	unregister := func(upTo int) {
-		for i := 0; i < upTo; i++ {
-			_ = e.cat.Drop(fmt.Sprintf("%s_out#%d", name, i))
+// stage when the analysis requires one. joinBuilder, when non-nil,
+// gives every shard factory its own stream-table join state (the
+// broadcast decomposition).
+func (e *Engine) buildPartitioned(q *Query, s *stream, an partition.Analysis, cfg queryConfig, joinBuilder func() (*exec.StreamJoin, error)) error {
+	err := e.buildShards(q, []*stream{s}, q.streams, an.ShardPlan, an.ShardPlan.Schema(), true, cfg, func(int) ([]factory.Option, error) {
+		if joinBuilder == nil {
+			return nil, nil
 		}
-		_ = e.cat.Drop(name + "_out")
-	}
-
-	n := len(s.shards)
-	latency := obs.NewHistogram()
-	facts := make([]*factory.Factory, 0, n)
-	tails := make([]*partition.Tail, 0, n)
-	for i := 0; i < n; i++ {
-		so := partition.NewTail(fmt.Sprintf("%s_out#%d", name, i), an.ShardPlan.Schema(), tailRingBatches, e.clock)
-		if err := e.cat.RegisterShard(so.Name(), catalog.KindBasket, so, name+"_out", i); err != nil {
-			unregister(i)
-			return nil, fmt.Errorf("%w: %q", ErrDuplicateName, so.Name())
-		}
-		in := factory.Input{Basket: s.shards[i], Mode: factory.Shared, ReaderID: name, Bind: streamName}
-		fopts := []factory.Option{
-			factory.WithMinTuples(cfg.minTuples),
-			factory.WithClock(e.clock),
-			factory.WithLatency(latency),
-		}
-		if joinBuilder != nil {
-			sj, err := joinBuilder()
-			if err != nil {
-				unregister(i + 1)
-				for _, done := range facts {
-					done.Close()
-				}
-				return nil, err
-			}
-			fopts = append(fopts, factory.WithStreamJoin(sj))
-		}
-		f, err := factory.New(fmt.Sprintf("%s#%d", name, i), an.ShardPlan, e.cat,
-			[]factory.Input{in}, []factory.Sink{so}, fopts...)
+		sj, err := joinBuilder()
 		if err != nil {
-			unregister(i + 1)
-			for _, done := range facts {
-				done.Close()
-			}
 			return nil, err
 		}
-		facts = append(facts, f)
-		tails = append(tails, so)
+		return []factory.Option{factory.WithStreamJoin(sj)}, nil
+	})
+	if err != nil {
+		return err
 	}
-	merge := partition.NewMerge(name+"_merge", an.MergeSource, tails, out, an.MergePlan, e.cat)
-
-	q := &Query{
-		Name:     name,
-		SQL:      text,
-		Strategy: cfg.strategy,
-		streams:  []string{streamName},
-		facts:    facts,
-		merge:    merge,
-		out:      out,
-		shardIns: s.shards,
-		tails:    tails,
-		engine:   e,
-	}
-	if cfg.subDepth > 0 {
-		emitter := adapters.NewChannelEmitter(name+"_emit", out, cfg.subDepth, cfg.policy)
-		q.sub = newSubscription(e, emitter)
-	}
-	e.mu.Lock()
-	e.queries[key] = q
-	s.shardReaders++
-	e.mu.Unlock()
-	e.installQuery(q, cfg)
-	return q, nil
+	q.merge = partition.NewMerge(q.Name+"_merge", an.MergeSource, q.tails, q.out, an.MergePlan, e.cat)
+	return nil
 }
 
-// registerPartitionedWindowed installs a time-windowed continuous query
-// as N shard pipelines: per shard a window runner over the shard's
+// buildPartitionedWindowed builds a time-windowed continuous query as N
+// shard pipelines: per shard a window runner over the shard's
 // subsequence of the stream (all runners share one watermark group, so a
 // lagging or empty shard still closes its windows once the stream as a
 // whole has moved past them). When the grouping is partition-aligned the
@@ -916,116 +1034,40 @@ func (e *Engine) registerPartitioned(name, text, streamName string, s *stream, p
 // aggregates tagged with the window end and a WindowedMerge aligns the
 // slide grid across shards, re-aggregates each window's union, and
 // replays HAVING and the projection.
-func (e *Engine) registerPartitionedWindowed(name, text, streamName string, s *stream, p plan.Node, wan partition.WindowedAnalysis, w *sql.WindowClause, cfg queryConfig) (*Query, error) {
-	key := strings.ToLower(name)
-	out := basket.New(name+"_out", p.Schema(), e.clock)
-	if err := e.cat.Register(name+"_out", catalog.KindBasket, out); err != nil {
-		return nil, fmt.Errorf("%w: %q", ErrDuplicateName, name+"_out")
-	}
-	unregister := func(upTo int) {
-		for i := 0; i < upTo; i++ {
-			_ = e.cat.Drop(fmt.Sprintf("%s_out#%d", name, i))
-		}
-		_ = e.cat.Drop(name + "_out")
-	}
-
+func (e *Engine) buildPartitionedWindowed(q *Query, s *stream, p plan.Node, wan partition.WindowedAnalysis, w *sql.WindowClause, cfg queryConfig) error {
 	shardSchema := p.Schema()
 	if !wan.Aligned {
 		shardSchema = wan.ShardPlan.Schema().Clone()
 		shardSchema.Columns = append(shardSchema.Columns,
 			catalog.Column{Name: partition.WindowEndColumn, Type: vector.Timestamp})
 	}
-
+	streamName := q.streams[0]
 	group := window.NewWatermarkGroup()
-	n := len(s.shards)
-	latency := obs.NewHistogram()
-	facts := make([]*factory.Factory, 0, n)
-	// Aligned shard windows emit final results and hand them to the merge
-	// over SPSC tails; non-aligned shards emit window-tagged partials into
-	// baskets the WindowedMerge buckets by window end.
-	var shardOuts []*basket.Basket
-	var tails []*partition.Tail
-	fail := func(i int, err error) (*Query, error) {
-		unregister(i)
-		for _, done := range facts {
-			done.Close()
-		}
-		return nil, err
-	}
-	for i := 0; i < n; i++ {
+	err := e.buildShards(q, []*stream{s}, q.streams, wan.ShardPlan, shardSchema, wan.Aligned, cfg, func(i int) ([]factory.Option, error) {
 		runner, err := e.buildShardWindowRunner(wan, p, s.shards[i].Schema(), streamName, w, cfg)
 		if err != nil {
-			return fail(i, err)
+			return nil, err
 		}
 		runner.ShareWatermark(group)
-		var sink factory.Sink
 		if wan.Aligned {
-			t := partition.NewTail(fmt.Sprintf("%s_out#%d", name, i), shardSchema, tailRingBatches, e.clock)
-			if err := e.cat.RegisterShard(t.Name(), catalog.KindBasket, t, name+"_out", i); err != nil {
-				return fail(i, fmt.Errorf("%w: %q", ErrDuplicateName, t.Name()))
-			}
-			tails = append(tails, t)
-			sink = t
-		} else {
-			so := basket.New(fmt.Sprintf("%s_out#%d", name, i), shardSchema, e.clock)
-			if err := e.cat.RegisterShard(so.Name(), catalog.KindBasket, so, name+"_out", i); err != nil {
-				return fail(i, fmt.Errorf("%w: %q", ErrDuplicateName, so.Name()))
-			}
-			shardOuts = append(shardOuts, so)
-			sink = so
+			return []factory.Option{factory.WithWindow(runner)}, nil
 		}
-		in := factory.Input{Basket: s.shards[i], Mode: factory.Shared, ReaderID: name, Bind: streamName}
-		fopts := []factory.Option{
-			factory.WithMinTuples(cfg.minTuples),
-			factory.WithClock(e.clock),
-			factory.WithLatency(latency),
-			factory.WithWindow(runner),
-		}
-		if !wan.Aligned {
-			fopts = append(fopts, factory.WithWindowEndTag())
-		}
-		f, err := factory.New(fmt.Sprintf("%s#%d", name, i), wan.ShardPlan, e.cat,
-			[]factory.Input{in}, []factory.Sink{sink}, fopts...)
-		if err != nil {
-			return fail(i+1, err)
-		}
-		facts = append(facts, f)
+		return []factory.Option{factory.WithWindow(runner), factory.WithWindowEndTag()}, nil
+	})
+	if err != nil {
+		return err
 	}
-	var merge mergeStage
 	if wan.Aligned {
-		merge = partition.NewMerge(name+"_merge", "", tails, out, nil, e.cat)
-	} else {
-		frontiers := make([]func() int64, n)
-		for i, f := range facts {
-			frontiers[i] = f.WindowFrontier
-		}
-		merge = partition.NewWindowedMerge(name+"_merge", wan.MergeSource, shardOuts, out,
-			wan.MergePlan, e.cat, wan.ShardPlan.Schema().Len(), frontiers)
+		q.merge = partition.NewMerge(q.Name+"_merge", "", q.tails, q.out, nil, e.cat)
+		return nil
 	}
-
-	q := &Query{
-		Name:      name,
-		SQL:       text,
-		Strategy:  cfg.strategy,
-		streams:   []string{streamName},
-		facts:     facts,
-		merge:     merge,
-		out:       out,
-		shardIns:  s.shards,
-		shardOuts: shardOuts,
-		tails:     tails,
-		engine:    e,
+	frontiers := make([]func() int64, len(q.facts))
+	for i, f := range q.facts {
+		frontiers[i] = f.WindowFrontier
 	}
-	if cfg.subDepth > 0 {
-		emitter := adapters.NewChannelEmitter(name+"_emit", out, cfg.subDepth, cfg.policy)
-		q.sub = newSubscription(e, emitter)
-	}
-	e.mu.Lock()
-	e.queries[key] = q
-	s.shardReaders++
-	e.mu.Unlock()
-	e.installQuery(q, cfg)
-	return q, nil
+	q.merge = partition.NewWindowedMerge(q.Name+"_merge", wan.MergeSource, q.shardOuts, q.out,
+		wan.MergePlan, e.cat, wan.ShardPlan.Schema().Len(), frontiers)
+	return nil
 }
 
 // windowSpec resolves the window clause plus the timestamp/lateness
@@ -1122,74 +1164,11 @@ func (e *Engine) UnregisterContinuous(name string) error {
 }
 
 func (e *Engine) unregisterContinuous(name string) error {
-	key := strings.ToLower(name)
-	e.mu.Lock()
-	q, ok := e.queries[key]
-	if !ok {
-		e.mu.Unlock()
-		return fmt.Errorf("%w: %q", ErrUnknownQuery, name)
+	q, err := e.Query(name)
+	if err == nil && !e.uninstall(q) {
+		err = fmt.Errorf("%w: %q", ErrUnknownQuery, name)
 	}
-	delete(e.queries, key)
-	for _, streamName := range q.streams {
-		s := e.streams[strings.ToLower(streamName)]
-		if s == nil {
-			continue
-		}
-		if len(q.replicas) > 0 {
-			// Copy-on-write removal (see registerParsed).
-			next := make([]*basket.Basket, 0, len(s.replicas))
-			for _, r := range s.replicas {
-				mine := false
-				for _, qr := range q.replicas {
-					if r == qr {
-						mine = true
-						break
-					}
-				}
-				if !mine {
-					next = append(next, r)
-				}
-			}
-			s.replicas = next
-		}
-		if q.merge != nil && s.router != nil {
-			// Every partitioned pipeline registered as a shard reader on
-			// each stream it consumes (both sides of a co-partitioned
-			// join).
-			s.shardReaders--
-		}
-	}
-	e.mu.Unlock()
-	// Detach the targeted wake-ups first: once the listeners are gone, no
-	// append can re-enqueue the transitions the removals below tear down.
-	for _, unsub := range q.unsubs {
-		unsub()
-	}
-	q.unsubs = nil
-	if q.routed != nil {
-		// Detach from the shared scan (and tear the scan transition down
-		// when this was its last member) before dropping the out basket.
-		e.dropRouted(q)
-	}
-	for _, t := range q.tails {
-		t.SetWake(nil)
-	}
-	for _, f := range q.facts {
-		e.sched.Remove(f.Name())
-		// Close releases shared-reader watermarks, so shard (or shared)
-		// baskets compact tuples only this query was retaining.
-		f.Close()
-	}
-	if q.merge != nil {
-		e.sched.Remove(q.merge.Name())
-	}
-	if q.sub != nil {
-		q.sub.closeWith(ErrSubscriptionClosed)
-	}
-	for i := 0; i < len(q.shardOuts)+len(q.tails); i++ {
-		_ = e.cat.Drop(fmt.Sprintf("%s_out#%d", q.Name, i))
-	}
-	return e.cat.Drop(name + "_out")
+	return err
 }
 
 // basketExprStreams locates the basket expressions in the query and

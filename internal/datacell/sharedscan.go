@@ -6,10 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/adapters"
 	"repro/internal/basket"
 	"repro/internal/bat"
-	"repro/internal/catalog"
 	"repro/internal/exec"
 	"repro/internal/expr"
 	"repro/internal/obs"
@@ -93,8 +91,10 @@ type scanMember struct {
 	latency   *obs.Histogram
 }
 
-// routedQuery ties a Query to its shared-scan attachment.
+// routedQuery ties a Query to its shared-scan attachment: build records
+// the shareable plan, install fills in the attachment.
 type routedQuery struct {
+	info   routedInfo
 	scan   *sharedScan
 	group  *scanGroup
 	member *scanMember
@@ -173,37 +173,6 @@ func routedPlanInfo(p plan.Node, streamName string) (routedInfo, bool) {
 		pred = expr.Remap(pred, mapping)
 	}
 	return routedInfo{node: node, pred: pred}, true
-}
-
-// registerRouted installs a continuous query on the stream's shared
-// scan: no private replica, no per-query factory — just a membership in
-// a plan group (created on first use) plus the usual output basket and
-// subscription emitter.
-func (e *Engine) registerRouted(name, text, streamName string, s *stream, info routedInfo, cfg queryConfig) (*Query, error) {
-	key := strings.ToLower(name)
-	out := basket.New(name+"_out", info.node.Schema(), e.clock)
-	if err := e.cat.Register(name+"_out", catalog.KindBasket, out); err != nil {
-		return nil, fmt.Errorf("%w: %q", ErrDuplicateName, name+"_out")
-	}
-	sc, g, m := e.attachRouted(s, name, info, out, cfg.priority)
-	q := &Query{
-		Name:     name,
-		SQL:      text,
-		Strategy: RoutedScan,
-		streams:  []string{streamName},
-		out:      out,
-		engine:   e,
-		routed:   &routedQuery{scan: sc, group: g, member: m},
-	}
-	if cfg.subDepth > 0 {
-		emitter := adapters.NewChannelEmitter(name+"_emit", out, cfg.subDepth, cfg.policy)
-		q.sub = newSubscription(e, emitter)
-	}
-	e.mu.Lock()
-	e.queries[key] = q
-	e.mu.Unlock()
-	e.installQuery(q, cfg)
-	return q, nil
 }
 
 // attachRouted joins the stream's shared scan (creating it on first

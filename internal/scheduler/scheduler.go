@@ -27,8 +27,10 @@
 // After a firing the worker re-checks Ready and self-requeues at the tail
 // of its run-queue, so a continuously-ready transition keeps running
 // without starving others and without any periodic polling in the workers.
-// Time-based windows are advanced by the engine's dedicated timer
-// goroutine (which calls Notify), not by per-worker tickers.
+// Readiness that no append signals — a time window closing on the
+// clock, an emitter whose consumer freed channel room — is picked up by
+// the engine's timer goroutine calling Notify, which wakes only the
+// transitions that are ready; there are no per-worker tickers.
 package scheduler
 
 import (
@@ -357,18 +359,24 @@ func (s *Scheduler) Transitions() []Transition {
 	return out
 }
 
-// Notify wakes every registered transition — the legacy broadcast kick.
-// The engine's timer goroutine calls it so time-based windows advance;
-// hot-path appends should use the per-transition Handle.Wake instead.
+// Notify wakes every registered transition that is ready — the timer
+// kick for readiness no basket append signals (a window that closed on
+// the clock, an emitter whose consumer freed channel room, a windowed
+// merge whose shard frontiers moved). Ready is evaluated outside s.mu:
+// it takes basket locks, which must never nest inside the scheduler's
+// leaf lock.
 func (s *Scheduler) Notify() {
 	if s.pool.Load() == nil {
 		return
 	}
 	s.mu.Lock()
-	for _, h := range s.entries {
-		h.Wake()
-	}
+	es := append([]*Handle(nil), s.entries...)
 	s.mu.Unlock()
+	for _, h := range es {
+		if !h.removed.Load() && h.t.Ready() {
+			h.Wake()
+		}
+	}
 }
 
 // Step runs one deterministic pass: every currently-ready transition fires
