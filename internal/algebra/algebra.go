@@ -157,46 +157,47 @@ func b2i(b bool) int {
 // [lo, hi] with configurable bound inclusivity. NULL bounds mean unbounded
 // on that side. NULL values never qualify.
 func RangeSelect(v *vector.Vector, cands bat.Candidates, lo, hi vector.Value, loIncl, hiIncl bool) bat.Candidates {
+	n := len(cands)
 	if cands == nil {
-		cands = bat.All(v.Len())
+		n = v.Len()
 	}
-	out := make(bat.Candidates, 0, len(cands))
-	for _, p := range cands {
+	keep := func(p int) bool {
 		if v.IsNull(p) {
-			continue
+			return false
 		}
 		x := v.Get(p)
 		if !lo.Null {
 			c := vector.Compare(x, lo)
 			if c < 0 || (c == 0 && !loIncl) {
-				continue
+				return false
 			}
 		}
 		if !hi.Null {
 			c := vector.Compare(x, hi)
 			if c > 0 || (c == 0 && !hiIncl) {
-				continue
+				return false
 			}
 		}
-		out = append(out, p)
+		return true
 	}
-	return out
+	return selectWhere(keep, cands, v.Len(), make(bat.Candidates, 0, n))
 }
 
 // MaskSelect filters cands through a Bool vector aligned with cands: the
 // i-th candidate survives iff mask[i] is true and not NULL. This is how a
 // computed predicate column becomes a candidate list.
 func MaskSelect(mask *vector.Vector, cands bat.Candidates) bat.Candidates {
-	if cands == nil {
-		cands = bat.All(mask.Len())
-	}
-	out := make(bat.Candidates, 0, len(cands))
-	bs := mask.Bools()
-	for i, p := range cands {
-		if mask.IsNull(i) || !bs[i] {
+	bs, nulls := mask.Bools(), mask.Nulls()
+	out := make(bat.Candidates, 0, len(bs))
+	for i, b := range bs {
+		if !b || nulls != nil && nulls[i] {
 			continue
 		}
-		out = append(out, p)
+		if cands == nil {
+			out = append(out, i)
+		} else {
+			out = append(out, cands[i])
+		}
 	}
 	return out
 }

@@ -1,6 +1,8 @@
 package load_test
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -15,8 +17,14 @@ func TestLoad(t *testing.T) {
 	if !res.Targets["repro/internal/basket"] {
 		t.Errorf("targets = %v, want repro/internal/basket", res.Targets)
 	}
-	if !strings.HasSuffix(res.ModuleDir, "repo") {
-		t.Errorf("module dir = %q", res.ModuleDir)
+	// The module root holds the go.mod declaring this module, whatever
+	// the checkout directory is called.
+	gomod, err := os.ReadFile(filepath.Join(res.ModuleDir, "go.mod"))
+	if err != nil {
+		t.Fatalf("module dir %q: %v", res.ModuleDir, err)
+	}
+	if !strings.HasPrefix(string(gomod), "module repro\n") {
+		t.Errorf("module dir %q: go.mod does not declare module repro", res.ModuleDir)
 	}
 	// Dependency order: every in-module import of a package must appear
 	// before the package itself.

@@ -88,74 +88,19 @@ func sourceView(name string, ctx *Context) (bat.View, error) {
 	return entry.Source.Snapshot(), nil
 }
 
-// filterCandidates evaluates a boolean predicate over cols, using
-// candidate-list theta-selects for `column ⋈ constant` conjuncts (the
-// kernel's native selection path) and falling back to mask evaluation for
-// the rest. A nil result means "all rows".
-func filterCandidates(pred expr.Expr, cols []*vector.Vector, n int) (bat.Candidates, error) {
-	var cands bat.Candidates
-	var rest []expr.Expr
-	for _, c := range expr.SplitConjuncts(pred) {
-		col, op, val, ok := thetaConjunct(c)
-		if !ok {
-			rest = append(rest, c)
-			continue
-		}
-		cands = algebra.ThetaSelect(cols[col], cands, op, val)
+// filter keeps the rows of rel at which pred is TRUE. When every row
+// survives it returns rel itself, so the result may alias the input
+// columns — read-only, like the result of a projection-only plan.
+func filter(rel *storage.Relation, pred expr.Expr) (*storage.Relation, error) {
+	n := rel.NumRows()
+	keep, err := expr.Select(pred, rel.Cols, nil, n)
+	if err != nil {
+		return nil, err
 	}
-	if leftover := expr.JoinConjuncts(rest); leftover != nil {
-		mask, err := expr.Eval(leftover, cols, cands)
-		if err != nil {
-			return nil, err
-		}
-		cands = algebra.MaskSelect(mask, cands)
+	if len(keep) == n {
+		return rel, nil
 	}
-	return cands, nil
-}
-
-// thetaConjunct recognizes `col ⋈ const` (or the flipped form) conjuncts.
-func thetaConjunct(e expr.Expr) (col int, op algebra.CmpOp, val vector.Value, ok bool) {
-	b, isBin := e.(*expr.Binary)
-	if !isBin || !b.Op.IsComparison() {
-		return 0, 0, vector.Value{}, false
-	}
-	if cr, isCol := b.L.(*expr.ColRef); isCol {
-		if c, isConst := b.R.(*expr.Const); isConst && comparable(cr.Typ, c.Val.Typ) {
-			return cr.Index, b.Op.CmpOp(), c.Val, true
-		}
-	}
-	if cr, isCol := b.R.(*expr.ColRef); isCol {
-		if c, isConst := b.L.(*expr.Const); isConst && comparable(cr.Typ, c.Val.Typ) {
-			return cr.Index, flip(b.Op.CmpOp()), c.Val, true
-		}
-	}
-	return 0, 0, vector.Value{}, false
-}
-
-// comparable reports whether ThetaSelect can compare the column type with
-// the constant type directly (identical types, or int/timestamp pairs).
-func comparable(col, c vector.Type) bool {
-	if col == c {
-		return true
-	}
-	return (col == vector.Int64 || col == vector.Timestamp) &&
-		(c == vector.Int64 || c == vector.Timestamp)
-}
-
-// flip mirrors a comparison for swapped operands: const op col → col op' const.
-func flip(op algebra.CmpOp) algebra.CmpOp {
-	switch op {
-	case algebra.Lt:
-		return algebra.Gt
-	case algebra.Le:
-		return algebra.Ge
-	case algebra.Gt:
-		return algebra.Lt
-	case algebra.Ge:
-		return algebra.Le
-	default:
-		return op // Eq, Ne are symmetric
-	}
+	return rel.Take(keep), nil
 }
 
 // runScan reads a source one chunk at a time: the filter runs per chunk
@@ -181,14 +126,12 @@ func runScan(s *plan.Scan, ctx *Context) (*storage.Relation, error) {
 			if cn == 0 {
 				continue
 			}
-			cc, err := filterCandidates(s.Filter, ch.Cols, cn)
+			cc, err := expr.Select(s.Filter, ch.Cols, nil, cn)
 			if err != nil {
 				return nil, err
 			}
-			if cc == nil {
-				for p := 0; p < cn; p++ {
-					cands = append(cands, base+p)
-				}
+			if base == 0 {
+				cands = cc // later chunks append to the first one's list
 			} else {
 				for _, p := range cc {
 					cands = append(cands, base+p)
@@ -221,11 +164,7 @@ func runSelect(s *plan.Select, ctx *Context) (*storage.Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	keep, err := filterCandidates(s.Pred, child.Cols, child.NumRows())
-	if err != nil {
-		return nil, err
-	}
-	return child.Take(keep), nil
+	return filter(child, s.Pred)
 }
 
 func runProject(p *plan.Project, ctx *Context) (*storage.Relation, error) {
@@ -317,12 +256,7 @@ func runJoin(j *plan.Join, ctx *Context) (*storage.Relation, error) {
 		out.Cols[lw+i] = col.Take(rpos)
 	}
 	if restPred := expr.JoinConjuncts(rest); restPred != nil {
-		mask, err := expr.Eval(restPred, out.Cols, nil)
-		if err != nil {
-			return nil, err
-		}
-		keep := algebra.MaskSelect(mask, nil)
-		out = out.Take(keep)
+		return filter(out, restPred)
 	}
 	return out, nil
 }

@@ -26,7 +26,6 @@ import (
 	"math"
 	"sync"
 
-	"repro/internal/algebra"
 	"repro/internal/catalog"
 	"repro/internal/expr"
 	"repro/internal/plan"
@@ -435,11 +434,7 @@ func (sj *StreamJoin) residual(out *storage.Relation) (*storage.Relation, error)
 	if sj.rest == nil || out.NumRows() == 0 {
 		return out, nil
 	}
-	mask, err := expr.Eval(sj.rest, out.Cols, nil)
-	if err != nil {
-		return nil, err
-	}
-	return out.Take(algebra.MaskSelect(mask, nil)), nil
+	return filter(out, sj.rest)
 }
 
 // batchKeys evaluates and normalizes the join key for every batch row.

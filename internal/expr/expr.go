@@ -5,6 +5,7 @@
 package expr
 
 import (
+	"cmp"
 	"fmt"
 
 	"repro/internal/algebra"
@@ -211,6 +212,13 @@ func eval(e Expr, cols []*vector.Vector, cands bat.Candidates, n int) (*vector.V
 		}
 		return vector.Const(x.Val, width), nil
 	case *Binary:
+		if other, op, c, ok := constOperand(x); ok {
+			v, err := eval(other, cols, cands, n)
+			if err != nil {
+				return nil, err
+			}
+			return compareConst(op, v, c), nil
+		}
 		l, err := eval(x.L, cols, cands, n)
 		if err != nil {
 			return nil, err
@@ -323,59 +331,92 @@ func evalLogic(op BinOp, l, r *vector.Vector) (*vector.Vector, error) {
 	return out, nil
 }
 
+// evalCompare compares two aligned columns row by row. Integer and
+// timestamp columns compare as integers, float columns and strings on
+// their typed slices; every loop matches compareValues.
 func evalCompare(op BinOp, l, r *vector.Vector) (*vector.Vector, error) {
-	cmp := op.CmpOp()
-	out := vector.NewWithCap(vector.Bool, l.Len())
-	// Fast paths for aligned numeric columns.
-	switch {
-	case (l.Type() == vector.Int64 || l.Type() == vector.Timestamp) && l.Type() == r.Type() && !l.HasNulls() && !r.HasNulls():
-		li, ri := l.Ints(), r.Ints()
-		for i := range li {
-			var c int
-			switch {
-			case li[i] < ri[i]:
-				c = -1
-			case li[i] > ri[i]:
-				c = 1
-			}
-			out.AppendBool(cmp.Holds(c))
-		}
-		return out, nil
-	case l.Type() == vector.Float64 && r.Type() == vector.Float64 && !l.HasNulls() && !r.HasNulls():
-		lf, rf := l.Floats(), r.Floats()
-		for i := range lf {
-			var c int
-			switch {
-			case lf[i] < rf[i]:
-				c = -1
-			case lf[i] > rf[i]:
-				c = 1
-			}
-			out.AppendBool(cmp.Holds(c))
-		}
-		return out, nil
+	c := op.CmpOp()
+	ln, rn := l.Nulls(), r.Nulls()
+	switch lt, rt := l.Type(), r.Type(); {
+	case intLike(lt) && intLike(rt):
+		return compareSlices(l.Ints(), r.Ints(), ln, rn, c), nil
+	case lt == vector.Float64 && rt == vector.Float64:
+		return compareSlices(l.Floats(), r.Floats(), ln, rn, c), nil
+	case lt == vector.String && rt == vector.String:
+		return compareSlices(l.Strings(), r.Strings(), ln, rn, c), nil
 	}
-	mixedNumeric := l.Type() != r.Type() && l.Type().Numeric() && r.Type().Numeric()
+	out := vector.NewWithCap(vector.Bool, l.Len())
 	for i := 0; i < l.Len(); i++ {
 		if l.IsNull(i) || r.IsNull(i) {
 			out.AppendNull()
 			continue
 		}
-		var c int
-		if mixedNumeric {
-			lf, rf := l.Get(i).AsFloat(), r.Get(i).AsFloat()
-			switch {
-			case lf < rf:
-				c = -1
-			case lf > rf:
-				c = 1
-			}
-		} else {
-			c = vector.Compare(l.Get(i), r.Get(i))
-		}
-		out.AppendBool(cmp.Holds(c))
+		out.AppendBool(c.Holds(compareValues(l.Get(i), r.Get(i))))
 	}
 	return out, nil
+}
+
+// compareConst compares a column against a scalar constant without
+// materializing the constant as a column: `v[i] op c` for every row. Type
+// pairs ThetaSelect compares exactly (thetaTypes) run on its typed loops.
+func compareConst(op algebra.CmpOp, v *vector.Vector, c vector.Value) *vector.Vector {
+	if c.Null || !thetaTypes(v.Type(), c.Typ) {
+		out := vector.NewWithCap(vector.Bool, v.Len())
+		for i := 0; i < v.Len(); i++ {
+			if c.Null || v.IsNull(i) {
+				out.AppendNull()
+				continue
+			}
+			out.AppendBool(op.Holds(compareValues(v.Get(i), c)))
+		}
+		return out
+	}
+	bs := make([]bool, v.Len())
+	for _, p := range algebra.ThetaSelect(v, nil, op, c) {
+		bs[p] = true
+	}
+	out := vector.FromBools(bs)
+	for i, null := range v.Nulls() {
+		if null {
+			out.Set(i, vector.NullValue(vector.Bool))
+		}
+	}
+	return out
+}
+
+// compareValues is the per-row definition of a comparison between two
+// non-NULL values: an integer or timestamp against a float compares as
+// float64, everything else by vector.Compare. A value neither below nor
+// above the other compares equal, which for floats includes NaN.
+func compareValues(a, b vector.Value) int {
+	if a.Typ != b.Typ && (a.Typ == vector.Float64 || b.Typ == vector.Float64) && a.Typ.Numeric() && b.Typ.Numeric() {
+		return compare(a.AsFloat(), b.AsFloat())
+	}
+	return vector.Compare(a, b)
+}
+
+// compareSlices is evalCompare over two aligned typed slices.
+func compareSlices[T cmp.Ordered](l, r []T, ln, rn []bool, op algebra.CmpOp) *vector.Vector {
+	holds := [3]bool{op.Holds(-1), op.Holds(0), op.Holds(1)} // by comparison result + 1
+	out := vector.NewWithCap(vector.Bool, len(l))
+	for i := range l {
+		if ln != nil && ln[i] || rn != nil && rn[i] {
+			out.AppendNull()
+			continue
+		}
+		out.AppendBool(holds[compare(l[i], r[i])+1])
+	}
+	return out
+}
+
+func compare[T cmp.Ordered](x, c T) int {
+	if x < c {
+		return -1
+	}
+	if x > c {
+		return 1
+	}
+	return 0
 }
 
 func evalArith(op BinOp, l, r *vector.Vector) (*vector.Vector, error) {

@@ -422,9 +422,13 @@ func (v *Vector) AppendVector(other *Vector) {
 		return
 	}
 	if other.nulls != nil || v.nulls != nil {
+		// other is only read: it may be a shared, sealed chunk.
 		v.ensureNulls()
-		other.ensureNulls()
-		v.nulls = append(v.nulls, other.nulls...)
+		if other.nulls != nil {
+			v.nulls = append(v.nulls, other.nulls...)
+		} else {
+			v.nulls = append(v.nulls, make([]bool, other.Len())...)
+		}
 	}
 	switch v.typ {
 	case Int64, Timestamp:

@@ -1,6 +1,7 @@
 package vector
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -218,6 +219,34 @@ func TestAppendVector(t *testing.T) {
 	}
 	if a.Get(2).I != 3 || !a.Get(3).Null {
 		t.Errorf("append vector wrong: %v %v", a.Get(2), a.Get(3))
+	}
+}
+
+// TestAppendVectorLeavesSourceUntouched appends one null-free source into
+// two destinations that carry NULLs, concurrently: the source may be a
+// sealed chunk shared by several readers, so appending must only read it.
+func TestAppendVectorLeavesSourceUntouched(t *testing.T) {
+	src := FromInts([]int64{7, 8, 9})
+	var wg sync.WaitGroup
+	dsts := make([]*Vector, 2)
+	for i := range dsts {
+		dst := New(Int64)
+		dst.AppendNull()
+		dsts[i] = dst
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			dst.AppendVector(src)
+		}()
+	}
+	wg.Wait()
+	if src.Nulls() != nil {
+		t.Fatalf("source gained a null bitmap: %v", src.Nulls())
+	}
+	for _, dst := range dsts {
+		if dst.Len() != 4 || !dst.IsNull(0) || dst.IsNull(1) || dst.IsNull(3) || dst.Get(3).I != 9 {
+			t.Errorf("destination = %v", dst)
+		}
 	}
 }
 

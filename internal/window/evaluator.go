@@ -206,11 +206,10 @@ func groupSig(vals []vector.Value) string {
 func (e *IncrementalAggEvaluator) Summarize(pane *storage.Relation) (Summary, error) {
 	cands := bat.All(pane.NumRows())
 	if e.filter != nil {
-		mask, err := expr.Eval(e.filter, pane.Cols, nil)
-		if err != nil {
+		var err error
+		if cands, err = expr.Select(e.filter, pane.Cols, nil, pane.NumRows()); err != nil {
 			return nil, err
 		}
-		cands = algebra.MaskSelect(mask, nil)
 	}
 	keyVecs := make([]*vector.Vector, len(e.keys))
 	for i, k := range e.keys {
@@ -345,11 +344,10 @@ func (e *IncrementalAggEvaluator) Merge(panes []Summary) (*storage.Relation, err
 	// HAVING.
 	cands := bat.All(aggRel.NumRows())
 	if e.having != nil {
-		mask, err := expr.Eval(e.having, aggRel.Cols, nil)
-		if err != nil {
+		var err error
+		if cands, err = expr.Select(e.having, aggRel.Cols, nil, aggRel.NumRows()); err != nil {
 			return nil, err
 		}
-		cands = algebra.MaskSelect(mask, nil)
 	}
 	// Projection.
 	out := &storage.Relation{Schema: e.outSchema, Cols: make([]*vector.Vector, len(e.projExprs))}
